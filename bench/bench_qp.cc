@@ -1,15 +1,11 @@
 // Incremental cutting-plane solve path: cold vs warm A/B on the AES-65 QCP
 // flow (minimize_cycle_time, the richest trajectory: a bisection probe
-// sequence on top of the cutting-plane rounds), plus a warm+speculative run
-// (2-lane pool, depth-2 probe tree) reported alongside.
+// sequence on top of the cutting-plane rounds).
 //
 // Cold and warm must walk the same trajectory -- identical cuts, rounds, and
 // probes, with golden results the same doubles -- so the comparison is pure
 // solver work: per-round constraint assembly (full rebuild vs append-only)
-// and ADMM iterations (zero dual vs carried dual + cached scaling +
-// multigrid seed + float32 inner CG).  The warm total charges the coarse
-// multigrid solves too: the seed is only a win if coarse+fine beats
-// fine-alone, and hiding the coarse cost would fake the ratio.
+// and ADMM iterations (zero dual vs carried dual + cached scaling).
 //
 // Every heap allocation in the process is counted (operator new override
 // below), so the table doubles as the scratch-reuse audit: the warm path
@@ -25,7 +21,6 @@
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "dmopt/dmopt.h"
 
 namespace {
@@ -33,8 +28,7 @@ std::atomic<std::uint64_t> g_allocations{0};
 }
 
 // Count every operator new in the process (the array and sized forms
-// forward here).  Pool threads allocate through the same override, so the
-// speculative run's clones are charged too.
+// forward here).  Pool threads allocate through the same override.
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
@@ -64,8 +58,7 @@ struct ModeStats {
   double assembly_ms = 0.0;
   double admm_ms = 0.0;
   double extract_ms = 0.0;
-  double mg_ms = 0.0;              ///< coarse multigrid solve time
-  double total_ms = 0.0;           ///< assembly + ADMM + coarse (the cost)
+  double total_ms = 0.0;           ///< assembly + ADMM (the cost)
   double assembly_ns_per_round = 0.0;
   int rounds = 0;
   int admm_iterations = 0;
@@ -74,24 +67,10 @@ struct ModeStats {
 };
 
 ModeStats run_mode(flow::DesignContext& ctx,
-                   const liberty::CoefficientSet& coeffs, bool incremental,
-                   ThreadPool* pool = nullptr) {
+                   const liberty::CoefficientSet& coeffs, bool incremental) {
   dmopt::DmoptOptions opt;
   opt.grid_um = 10.0;
   opt.incremental = incremental;
-  // All three warm-path levers: multigrid seeding (on by default), the
-  // float32 mixed-precision inner CG, and (with a pool) speculative
-  // bisection.  The cold reference strips every one of them by
-  // construction -- mixed precision and multigrid are warm-path-only -- so
-  // it stays the historical rebuild+cold-solve baseline.
-  opt.qp_settings.mixed_precision = true;
-  if (std::getenv("DOSEOPT_BENCH_NO_MG") != nullptr) opt.multigrid = false;
-  if (std::getenv("DOSEOPT_BENCH_NO_MIXED") != nullptr)
-    opt.qp_settings.mixed_precision = false;
-  if (pool != nullptr) {
-    opt.pool = pool;
-    opt.speculation_depth = 2;
-  }
   dmopt::DoseMapOptimizer optimizer(
       &ctx.netlist(), &ctx.placement(), &ctx.parasitics(), &ctx.repo(),
       &coeffs, &ctx.timer(), &ctx.nominal_timing(), opt);
@@ -103,15 +82,7 @@ ModeStats run_mode(flow::DesignContext& ctx,
       g_allocations.load(std::memory_order_relaxed) - allocs_before;
   const dmopt::CutTelemetry& t = s.result.telemetry;
   if (std::getenv("DOSEOPT_BENCH_ROUNDS") != nullptr) {
-    std::fprintf(stderr,
-                 "mode=%s mg_seeds=%d mg_rejects=%d mg_iters=%d mg_ms=%.2f "
-                 "mixed_solves=%d mixed_fallbacks=%d mixed_cg_iters=%d "
-                 "spec_launched=%d spec_consumed=%d spec_wasted=%d\n",
-                 incremental ? (pool != nullptr ? "spec" : "warm") : "cold",
-                 t.mg_seeds, t.mg_rejects, t.mg_admm_iterations,
-                 t.mg_solve_ns / 1e6, t.qp_mixed_solves, t.qp_mixed_fallbacks,
-                 t.mixed_cg_iterations, t.speculative_launched,
-                 t.speculative_consumed, t.speculative_wasted);
+    std::fprintf(stderr, "mode=%s\n", incremental ? "warm" : "cold");
     for (const dmopt::CutRound& r : t.rounds)
       std::fprintf(stderr,
                    "round tau=%.6f r=%d ws=%zu fresh=%zu iters=%d "
@@ -123,8 +94,7 @@ ModeStats run_mode(flow::DesignContext& ctx,
   s.assembly_ms = static_cast<double>(t.assembly_ns) / 1e6;
   s.admm_ms = static_cast<double>(t.solve_ns) / 1e6;
   s.extract_ms = static_cast<double>(t.extract_ns) / 1e6;
-  s.mg_ms = static_cast<double>(t.mg_solve_ns) / 1e6;
-  s.total_ms = s.assembly_ms + s.admm_ms + s.mg_ms;
+  s.total_ms = s.assembly_ms + s.admm_ms;
   s.rounds = t.total_rounds;
   s.admm_iterations = t.total_admm_iterations;
   s.cuts = t.total_cuts;
@@ -151,26 +121,15 @@ int main() {
 
   const ModeStats cold = run_mode(ctx, coeffs, /*incremental=*/false);
   const ModeStats warm = run_mode(ctx, coeffs, /*incremental=*/true);
-  // The speculative run overlaps child tau probes on pool lanes.  On a
-  // single hardware core the lanes serialize, so its wall clock here is
-  // warm plus the wasted-probe work; the frontier (probes, cuts, goldens)
-  // is bit-identical to the sequential loop by construction.
-  ThreadPool spec_pool(2);
-  const ModeStats spec_run =
-      run_mode(ctx, coeffs, /*incremental=*/true, &spec_pool);
 
   TextTable t;
   t.set_header({"Mode", "Rounds", "Cuts", "ADMM iters", "Assembly (ms)",
-                "ADMM (ms)", "MG (ms)", "Solve total (ms)", "Allocs",
-                "DMopt (s)"});
-  for (const auto* m : {&cold, &warm, &spec_run}) {
-    t.add_row({m == &cold   ? "cold (rebuild)"
-               : m == &warm ? "warm (incremental)"
-                            : "warm+speculative (2 lanes)",
+                "ADMM (ms)", "Solve total (ms)", "Allocs", "DMopt (s)"});
+  for (const auto* m : {&cold, &warm}) {
+    t.add_row({m == &cold ? "cold (rebuild)" : "warm (incremental)",
                fmt_f(m->rounds, 0), fmt_f(static_cast<double>(m->cuts), 0),
                fmt_f(m->admm_iterations, 0), fmt_f(m->assembly_ms, 2),
-               fmt_f(m->admm_ms, 2), fmt_f(m->mg_ms, 2),
-               fmt_f(m->total_ms, 2),
+               fmt_f(m->admm_ms, 2), fmt_f(m->total_ms, 2),
                fmt_f(static_cast<double>(m->allocations), 0),
                fmt_f(m->result.runtime_s, 2)});
   }
@@ -188,16 +147,6 @@ int main() {
       cold.rounds == warm.rounds && cold.cuts == warm.cuts &&
       cold.result.bisection_probes == warm.result.bisection_probes &&
       variant_diffs == 0;
-  // The speculative run must land on the same feasibility frontier and
-  // golden signoff as the sequential warm loop (consumed children may
-  // differ from the sequential iterates at solver tolerance, but never in
-  // what was probed or what signoff measured).
-  const dmopt::CutTelemetry& st = spec_run.result.telemetry;
-  const bool spec_identical =
-      spec_run.result.golden_mct_ns == warm.result.golden_mct_ns &&
-      spec_run.result.golden_leakage_uw == warm.result.golden_leakage_uw &&
-      spec_run.result.bisection_probes == warm.result.bisection_probes &&
-      spec_run.cuts == warm.cuts;
 
   const double speedup =
       warm.total_ms > 0.0 ? cold.total_ms / warm.total_ms : 0.0;
@@ -208,11 +157,10 @@ int main() {
   const bool alloc_ok = warm.allocations * 2 < cold.allocations;
   std::printf(
       "\ngolden: cold MCT %.6f ns / %.1f uW, warm MCT %.6f ns / %.1f uW "
-      "(%s, %d variant diffs; speculative %s)\n",
+      "(%s, %d variant diffs)\n",
       cold.result.golden_mct_ns, cold.result.golden_leakage_uw,
       warm.result.golden_mct_ns, warm.result.golden_leakage_uw,
-      bit_identical ? "bit-identical" : "DIVERGED", variant_diffs,
-      spec_identical ? "same frontier" : "DIVERGED");
+      bit_identical ? "bit-identical" : "DIVERGED", variant_diffs);
   std::printf("assembly speedup: %.1fx, ADMM iterations %d -> %d, "
               "allocations %llu -> %llu (%s)\n",
               assembly_speedup, cold.admm_iterations, warm.admm_iterations,
@@ -242,14 +190,7 @@ int main() {
       " %.3f, \"allocations\": %llu, \"dmopt_s\": %.3f},\n"
       "  \"warm\": {\"assembly_ms\": %.3f, \"assembly_ns_per_round\": %.0f,"
       " \"admm_iterations\": %d, \"admm_ms\": %.3f, \"solve_total_ms\":"
-      " %.3f, \"allocations\": %llu, \"dmopt_s\": %.3f,\n"
-      "    \"multigrid\": {\"seeds\": %d, \"rejects\": %d,"
-      " \"coarse_admm_iterations\": %d, \"coarse_solve_ms\": %.3f},\n"
-      "    \"mixed_precision\": {\"solves\": %d, \"fallbacks\": %d,"
-      " \"float_cg_iterations\": %d}},\n"
-      "  \"speculative\": {\"lanes\": 2, \"depth\": 2, \"solve_total_ms\":"
-      " %.3f, \"launched\": %d, \"consumed\": %d, \"wasted\": %d,"
-      " \"wasted_ms\": %.3f, \"same_frontier\": %s},\n"
+      " %.3f, \"allocations\": %llu, \"dmopt_s\": %.3f},\n"
       "  \"assembly_speedup\": %.2f,\n"
       "  \"solve_speedup\": %.2f,\n"
       "  \"scratch_reused\": %s,\n"
@@ -262,18 +203,9 @@ int main() {
       cold.result.runtime_s, warm.assembly_ms, warm.assembly_ns_per_round,
       warm.admm_iterations, warm.admm_ms, warm.total_ms,
       static_cast<unsigned long long>(warm.allocations),
-      warm.result.runtime_s, warm.result.telemetry.mg_seeds,
-      warm.result.telemetry.mg_rejects,
-      warm.result.telemetry.mg_admm_iterations, warm.mg_ms,
-      warm.result.telemetry.qp_mixed_solves,
-      warm.result.telemetry.qp_mixed_fallbacks,
-      warm.result.telemetry.mixed_cg_iterations, spec_run.total_ms,
-      st.speculative_launched, st.speculative_consumed, st.speculative_wasted,
-      static_cast<double>(st.speculative_wasted_ns) / 1e6,
-      spec_identical ? "true" : "false", assembly_speedup, speedup,
+      warm.result.runtime_s, assembly_speedup, speedup,
       alloc_ok ? "true" : "false", bit_identical ? "true" : "false");
   std::fclose(f);
   std::printf("BENCH_qp.json written\n");
-  return (speedup >= 3.0 && bit_identical && spec_identical && alloc_ok) ? 0
-                                                                         : 1;
+  return (speedup >= 3.0 && bit_identical && alloc_ok) ? 0 : 1;
 }

@@ -24,7 +24,7 @@ ctest --test-dir build 2>&1 | tee /root/repo/test_output.txt
 # point, each armed to fire once through $DOSEOPT_FAULTS.  Every run must
 # recover to bit-identical results (the suite asserts it); the point list
 # is kept honest by FaultRegistry.RegisteredPointsMatchTheSweepManifest.
-FAULT_POINTS="serve.accept serve.read serve.write serve.frame serve.job serde.snapshot_write serde.snapshot_read qp.admm_diverge qp.kkt_reject qp.mg_diverge qp.mixed_precision_stall dmopt.qcp_infeasible ssta.nan sta.batch_nan fleet.cache_corrupt"
+FAULT_POINTS="serve.accept serve.read serve.write serve.frame serve.job serde.snapshot_write serde.snapshot_read qp.admm_diverge qp.kkt_reject dmopt.qcp_infeasible ssta.nan sta.batch_nan fleet.cache_corrupt"
 : > /tmp/doseopt_fault_failures
 {
   for p in $FAULT_POINTS; do

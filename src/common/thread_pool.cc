@@ -26,6 +26,9 @@ struct ParallelRegionGuard {
 struct ThreadPool::Impl {
   std::vector<std::thread> workers;
 
+  /// Held by the one caller whose loop currently owns the workers; a
+  /// concurrent submitter that cannot take it runs its loop inline.
+  std::mutex submit_mu;
   std::mutex mu;
   std::condition_variable cv_start;
   std::condition_variable cv_done;
@@ -106,9 +109,15 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::parallel_for_lane(
     std::size_t n, const std::function<void(int, std::size_t)>& fn) {
   if (n == 0) return;
-  // Serial paths: no workers, a tiny loop, or a nested call from inside a
-  // pool task (fanning out again could deadlock on this very pool).
-  if (impl_ == nullptr || n == 1 || in_parallel_region()) {
+  // Serial paths: no workers, a tiny loop, a nested call from inside a
+  // pool task (fanning out again could deadlock on this very pool), or
+  // another thread's loop already owns the workers (the job state below is
+  // single-occupancy).  Results are index-ordered, so running inline on
+  // lane 0 gives the same values.
+  std::unique_lock<std::mutex> submit;
+  if (impl_ != nullptr && n > 1 && !in_parallel_region())
+    submit = std::unique_lock<std::mutex>(impl_->submit_mu, std::try_to_lock);
+  if (!submit.owns_lock()) {
     ParallelRegionGuard guard;
     for (std::size_t i = 0; i < n; ++i) fn(0, i);
     return;

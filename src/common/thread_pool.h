@@ -13,8 +13,10 @@
 // The calling thread participates as lane 0; workers are lanes 1..N-1.  A
 // `parallel_for` issued from inside a pool task runs inline on the calling
 // lane (no nested fan-out), so composed parallel code cannot deadlock the
-// pool.  `ThreadPool(1)` has no workers at all and degenerates to a plain
-// serial loop, useful as the reference in determinism tests.
+// pool.  Likewise, a loop submitted while another thread's loop occupies
+// the workers runs inline on its own caller as lane 0.  `ThreadPool(1)`
+// has no workers at all and degenerates to a plain serial loop, useful as
+// the reference in determinism tests.
 #pragma once
 
 #include <cstddef>

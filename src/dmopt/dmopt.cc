@@ -296,73 +296,8 @@ double DoseMapOptimizer::path_base_delay(const PathConstraint& pc) const {
   return base;
 }
 
-void DoseMapOptimizer::maybe_multigrid_seed(
-    double tau, WorkingSet& ws, const qp::QpSettings& fine_settings,
-    CutTelemetry& telemetry) {
-  const double prev_tau = ws.last_tau;
-  ws.last_tau = tau;
-  if (!options_.multigrid || !options_.incremental ||
-      !fine_settings.warm_start)
-    return;
-  // Nothing to coarsen before any cut exists: the cut-free QP is already a
-  // few hundred trivially-conditioned static rows.
-  if (!ws.problem || ws.paths_assembled == 0) return;
-  // The seed pays off exactly where the cached fine iterate does not: a
-  // fresh/reset QP state, or a tau retarget large enough (>= 5% of the
-  // bound) that the previous optimum's active cuts are the wrong ones.
-  // Small retargets are the late bisection probes hugging the feasibility
-  // frontier -- there the coarse problem (a strict restriction of the fine
-  // feasible set) is usually infeasible and the attempt is a guaranteed
-  // reject, while the carried fine iterate is already the best seed.
-  const bool fresh = ws.qp_state.rows_cached == 0;
-  const bool retarget =
-      !std::isnan(prev_tau) &&
-      std::abs(tau - prev_tau) >= std::max(5e-3, 0.05 * std::abs(tau));
-  if (!fresh && !retarget) return;
-
-  if (!ws.mg) {
-    ws.mg = std::make_unique<MultigridHierarchy>(
-        poly_template_.rows(), poly_template_.cols(),
-        options_.modulate_width, options_.dose_lower_pct,
-        options_.dose_upper_pct, options_.smoothness_delta,
-        ws.problem->problem().p_diag, ws.problem->problem().q, cell_grid_);
-  }
-  if (!ws.mg->useful()) return;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  int coarse_iters = 0;
-  const bool seeded =
-      ws.mg->seed(ws.paths, cell_a_coeff_, cell_b_coeff_, kDs, tau,
-                  fine_settings, &ws.qp_state.x, &ws.qp_state.y,
-                  &coarse_iters);
-  telemetry.mg_admm_iterations += coarse_iters;
-  telemetry.mg_solve_ns += static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  if (seeded)
-    ++telemetry.mg_seeds;
-  else
-    ++telemetry.mg_rejects;
-}
-
-DoseMapOptimizer::WorkingSet DoseMapOptimizer::clone_working_set(
-    const WorkingSet& ws, double parent_tau) const {
-  WorkingSet c;
-  c.paths = ws.paths;
-  c.seen = ws.seen;
-  if (ws.problem) c.problem = std::make_unique<IncrementalProblem>(*ws.problem);
-  c.paths_assembled = ws.paths_assembled;
-  c.qp_state = ws.qp_state;
-  // No multigrid companion: speculative probes are only launched at
-  // retarget distances below the multigrid trigger, so the hierarchy can
-  // never be consulted on the clone (and the true set keeps the warm one).
-  c.last_tau = parent_tau;
-  return c;
-}
-
 DoseMapOptimizer::SolveOutcome DoseMapOptimizer::solve_leakage_qp(
-    double tau, WorkingSet& working_set, CutTelemetry& telemetry) {
+    double tau, WorkingSet& working_set) {
   using Clock = std::chrono::steady_clock;
   auto elapsed_ns = [](Clock::time_point a, Clock::time_point b) {
     return static_cast<std::uint64_t>(
@@ -426,26 +361,16 @@ DoseMapOptimizer::SolveOutcome DoseMapOptimizer::solve_leakage_qp(
     tele.assembly_ns = elapsed_ns(ta0, ta1);
     tele.working_set = working_set.paths.size();
 
-    // Multigrid warm start (round 0 only: later rounds extend the same tau
-    // with a few hundred cuts, where the previous fine iterate is already
-    // the best seed available).  Timed separately as telemetry mg_solve_ns.
-    if (round == 0)
-      maybe_multigrid_seed(tau, working_set, settings, telemetry);
-    const auto ts0 = Clock::now();
-
     const qp::QpSolution sol = solver.solve_incremental(
         working_set.problem->problem(), working_set.qp_state);
-    if (sol.cold_fallback) ++telemetry.qp_cold_fallbacks;
-    if (sol.mixed_precision) ++telemetry.qp_mixed_solves;
-    if (sol.mixed_fallback) ++telemetry.qp_mixed_fallbacks;
-    telemetry.mixed_cg_iterations += sol.mixed_cg_iterations;
+    if (sol.cold_fallback) ++telemetry_.qp_cold_fallbacks;
     const auto ta2 = Clock::now();
-    tele.solve_ns = elapsed_ns(ts0, ta2);
+    tele.solve_ns = elapsed_ns(ta1, ta2);
     tele.admm_iterations = sol.iterations;
     outcome.status = sol.status;
     outcome.qp_iterations += sol.iterations;
     if (sol.status == qp::QpStatus::kPrimalInfeasible) {
-      telemetry.add(tele);
+      telemetry_.add(tele);
       break;
     }
 
@@ -464,7 +389,7 @@ DoseMapOptimizer::SolveOutcome DoseMapOptimizer::solve_leakage_qp(
         extract_violated_paths(outcome.poly, outcome.active, tau, kBatch);
     tele.extract_ns = elapsed_ns(ta2, Clock::now());
     if (fresh.empty()) {
-      telemetry.add(tele);
+      telemetry_.add(tele);
       outcome.feasible = true;
       break;
     }
@@ -477,7 +402,7 @@ DoseMapOptimizer::SolveOutcome DoseMapOptimizer::solve_leakage_qp(
       ++added;
     }
     tele.fresh_cuts = added;
-    telemetry.add(tele);
+    telemetry_.add(tele);
     if (added == 0) {
       // No new cuts: remaining violations are at solver-tolerance level.
       outcome.feasible =
@@ -780,136 +705,24 @@ DmoptResult DoseMapOptimizer::minimize_cycle_time(double leakage_budget_uw) {
   int total_iters = best.qp_iterations;
   double feasible_tau = tau_hi;
 
-  // Feasibility decision for one committed probe.  Golden signoff runs
-  // here, on the calling thread, in commit order -- never on a lane -- so
-  // the incremental golden-STA state walks the same trajectory whether
-  // probes were solved speculatively or not.
-  auto decide = [&](const SolveOutcome& probe) {
+  for (int it = 0; it < options_.bisection_iterations; ++it) {
+    if (feasible_tau - tau_lo < 1e-4) break;
+    const double tau = 0.5 * (tau_lo + feasible_tau);
+    SolveOutcome probe = solve_leakage_qp(tau, working_set);
+    ++probes;
+    total_iters += probe.qp_iterations;
     bool ok = probe.feasible;
     if (ok) {
       double golden_mct = 0.0, golden_leak = 0.0;
       golden_eval(probe, &golden_mct, &golden_leak);
       ok = golden_leak <= leak_budget_uw + options_.leakage_tolerance_uw;
     }
-    return ok;
-  };
-  auto commit = [&](double tau, const SolveOutcome& probe) {
-    ++probes;
-    total_iters += probe.qp_iterations;
-    const bool ok = decide(probe);
     if (ok) {
       feasible_tau = tau;
-      best = probe;
+      best = std::move(probe);
     } else {
       tau_lo = tau;
     }
-    return ok;
-  };
-
-  const bool speculative =
-      options_.speculation_depth >= 2 && options_.pool != nullptr &&
-      options_.incremental && options_.qp_settings.warm_start;
-  // Eagerness gate: speculate only while probes commit no fresh cuts (the
-  // late-bisection regime, where a child solved from a pre-parent snapshot
-  // is exactly the solve the sequential loop would run).  The predictor is
-  // the previous committed probe; a miss only costs the wasted lanes.
-  bool spec_predict = false;
-
-  // A speculative child is eligible when the sequential loop would reach
-  // it (interval still open) and its retarget distance from the parent
-  // stays below the multigrid trigger, so the clone (which carries no
-  // coarse hierarchy) cannot diverge from the true working set.
-  auto child_eligible = [&](double lo, double hi, double parent_tau) {
-    if (hi - lo < 1e-4) return false;
-    const double tau = 0.5 * (lo + hi);
-    return std::abs(tau - parent_tau) <
-           std::max(5e-3, 0.05 * std::abs(tau));
-  };
-
-  for (int it = 0; it < options_.bisection_iterations; ++it) {
-    if (feasible_tau - tau_lo < 1e-4) break;
-    const double tau = 0.5 * (tau_lo + feasible_tau);
-
-    if (!speculative || !spec_predict || it + 1 >= options_.bisection_iterations) {
-      const std::size_t before = working_set.paths.size();
-      SolveOutcome probe = solve_leakage_qp(tau, working_set);
-      commit(tau, probe);
-      spec_predict = working_set.paths.size() == before;
-      continue;
-    }
-
-    // Speculation round: the root probe solves in place on the true
-    // working set while the two possible successors solve on snapshots,
-    // all on deterministic pool lanes (slot-isolated: node i writes only
-    // its own working set, outcome, and telemetry sink).
-    struct SpecNode {
-      double tau = 0.0;
-      WorkingSet* ws = nullptr;
-      std::unique_ptr<WorkingSet> owned;
-      std::size_t paths_before = 0;
-      SolveOutcome out;
-      CutTelemetry tele;
-    };
-    std::vector<SpecNode> nodes(3);
-    nodes[0].tau = tau;
-    nodes[0].ws = &working_set;
-    int launched = 0;
-    if (child_eligible(tau_lo, tau, tau)) {  // root feasible -> descend
-      nodes[1].tau = 0.5 * (tau_lo + tau);
-      nodes[1].owned =
-          std::make_unique<WorkingSet>(clone_working_set(working_set, tau));
-      nodes[1].ws = nodes[1].owned.get();
-      ++launched;
-    }
-    if (child_eligible(tau, feasible_tau, tau)) {  // root infeasible
-      nodes[2].tau = 0.5 * (tau + feasible_tau);
-      nodes[2].owned =
-          std::make_unique<WorkingSet>(clone_working_set(working_set, tau));
-      nodes[2].ws = nodes[2].owned.get();
-      ++launched;
-    }
-    telemetry_.speculative_launched += launched;
-
-    options_.pool->parallel_for_lane(
-        nodes.size(), [&](int /*lane*/, std::size_t i) {
-          SpecNode& nd = nodes[i];
-          if (nd.ws == nullptr) return;
-          nd.paths_before = nd.ws->paths.size();
-          nd.out = solve_leakage_qp(nd.tau, *nd.ws, nd.tele);
-        });
-
-    // Commit in sequential order: root first.
-    telemetry_.merge(nodes[0].tele);
-    const bool root_ok = commit(tau, nodes[0].out);
-    const bool root_clean =
-        working_set.paths.size() == nodes[0].paths_before;
-    spec_predict = root_clean;
-
-    SpecNode& taken = root_ok ? nodes[1] : nodes[2];
-    SpecNode& other = root_ok ? nodes[2] : nodes[1];
-    if (other.ws != nullptr && other.owned != nullptr) {
-      ++telemetry_.speculative_wasted;
-      telemetry_.speculative_wasted_ns += other.tele.solve_ns;
-    }
-    if (taken.ws == nullptr || taken.owned == nullptr) continue;
-    if (!root_clean) {
-      // Poisoned: the root committed cuts the snapshot never saw, so the
-      // sequential loop would have solved a different problem.  Discard.
-      ++telemetry_.speculative_wasted;
-      telemetry_.speculative_wasted_ns += taken.tele.solve_ns;
-      continue;
-    }
-    // Consume: the child solved exactly the probe the sequential loop
-    // runs next.  Adopt its working set (carrying over the true set's
-    // multigrid companion), commit its outcome, and account it as the
-    // next bisection iteration.
-    ++telemetry_.speculative_consumed;
-    telemetry_.merge(taken.tele);
-    taken.owned->mg = std::move(working_set.mg);
-    working_set = std::move(*taken.owned);
-    commit(taken.tau, taken.out);
-    spec_predict = working_set.paths.size() == taken.paths_before;
-    ++it;
   }
 
   DmoptResult result = finalize(best, probes);

@@ -28,15 +28,12 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_set>
 
-#include "common/thread_pool.h"
 #include "dmopt/incremental_problem.h"
-#include "dmopt/multigrid.h"
 #include "dose/dose_map.h"
 #include "liberty/coeff_fit.h"
 #include "qp/qp_solver.h"
@@ -62,29 +59,6 @@ struct DmoptOptions {
   /// way (doses agree to solver tolerance and are snapped to characterized
   /// variants before signoff).
   bool incremental = true;
-  /// Multigrid warm start: on cold-ish incremental solves and large tau
-  /// retargets, solve a 2x-coarsened restriction of the QP first and
-  /// prolong its primal/dual as the fine seed (src/dmopt/multigrid.h).
-  /// Advisory only -- a rejected coarse solve leaves the fine iterate
-  /// untouched, identical to running with this off.  Requires the
-  /// incremental warm-started path; ignored on the cold A/B reference.
-  bool multigrid = true;
-  /// Speculative tau bisection (QCP only).  With depth >= 2 and a pool,
-  /// each bisection step solves the next probe *and* both possible
-  /// successors concurrently on deterministic lanes: the root probe runs
-  /// in place on the true working set, the ok/not-ok children on snapshot
-  /// copies.  Commit happens in fixed order on the calling thread (golden
-  /// signoff stays sequential); a child is consumed only when its parent
-  /// committed no fresh cuts -- then its snapshot is exactly the state the
-  /// sequential loop would have solved from -- and is discarded (wasted)
-  /// otherwise, so the feasibility frontier is bit-identical to the
-  /// sequential loop at any lane count.  0 disables (default: speculation
-  /// only pays off when spare cores exist, which the caller knows best).
-  int speculation_depth = 0;
-  /// Lanes for speculative probes (null disables speculation).  A 1-lane
-  /// pool executes the tree serially in index order -- the determinism
-  /// reference.
-  ThreadPool* pool = nullptr;
   /// Yield-percentile constraint mode (0 = off).  When set in (0, 1),
   /// minimize_leakage constrains the SSTA tau_at_yield(yield_target) --
   /// not the nominal golden MCT -- at the timing bound: the cutting-plane
@@ -124,28 +98,6 @@ struct CutTelemetry {
   /// Warm incremental solves that failed acceptance (divergence / KKT
   /// rejection) and recovered through the cold re-solve ladder.
   int qp_cold_fallbacks = 0;
-  /// Multigrid warm starts: coarse solves whose prolonged solution seeded
-  /// the fine QP (mg_seeds) vs coarse solves rejected as unusable
-  /// (mg_rejects: coarse-infeasible boundary probes or injected
-  /// divergence), with the coarse-side iteration/time cost.
-  int mg_seeds = 0;
-  int mg_rejects = 0;
-  int mg_admm_iterations = 0;
-  std::uint64_t mg_solve_ns = 0;
-  /// Mixed-precision ladder: solves whose x-updates ran the float32 fast
-  /// path, solves that stalled/failed float64 KKT acceptance and re-ran
-  /// pure double, and the float32 inner-CG iterations spent.
-  int qp_mixed_solves = 0;
-  int qp_mixed_fallbacks = 0;
-  int mixed_cg_iterations = 0;
-  /// Speculative bisection: child probes launched ahead of the parent's
-  /// decision, those whose branch was taken and whose parent committed no
-  /// fresh cuts (consumed), and the rest (wasted, with their solve time --
-  /// overlapped on spare lanes, so not part of the critical path).
-  int speculative_launched = 0;
-  int speculative_consumed = 0;
-  int speculative_wasted = 0;
-  std::uint64_t speculative_wasted_ns = 0;
 
   void add(const CutRound& r) {
     rounds.push_back(r);
@@ -155,24 +107,6 @@ struct CutTelemetry {
     assembly_ns += r.assembly_ns;
     solve_ns += r.solve_ns;
     extract_ns += r.extract_ns;
-  }
-
-  /// Fold another telemetry block in (speculative probes accumulate into
-  /// per-node sinks that are merged at commit, in commit order).
-  void merge(const CutTelemetry& t) {
-    for (const CutRound& r : t.rounds) add(r);
-    qp_cold_fallbacks += t.qp_cold_fallbacks;
-    mg_seeds += t.mg_seeds;
-    mg_rejects += t.mg_rejects;
-    mg_admm_iterations += t.mg_admm_iterations;
-    mg_solve_ns += t.mg_solve_ns;
-    qp_mixed_solves += t.qp_mixed_solves;
-    qp_mixed_fallbacks += t.qp_mixed_fallbacks;
-    mixed_cg_iterations += t.mixed_cg_iterations;
-    speculative_launched += t.speculative_launched;
-    speculative_consumed += t.speculative_consumed;
-    speculative_wasted += t.speculative_wasted;
-    speculative_wasted_ns += t.speculative_wasted_ns;
   }
 };
 
@@ -264,10 +198,6 @@ class DoseMapOptimizer {
     std::unique_ptr<IncrementalProblem> problem;
     std::size_t paths_assembled = 0;  ///< rows already appended to problem
     qp::QpWarmState qp_state;
-    /// Coarse-grid companion (built lazily on the first eligible solve)
-    /// and the last timing bound solved, for the retarget trigger.
-    std::unique_ptr<MultigridHierarchy> mg;
-    double last_tau = std::numeric_limits<double>::quiet_NaN();
   };
 
   /// One leakage-QP solve at a fixed timing bound.
@@ -294,26 +224,8 @@ class DoseMapOptimizer {
   /// Fresh IncrementalProblem for the current configuration (static rows
   /// materialized, no path rows yet).
   std::unique_ptr<IncrementalProblem> make_problem() const;
-  /// Multigrid warm start (round 0 of an eligible solve): when the QP
-  /// state is fresh or tau moved far from the last solved bound, solve the
-  /// coarse restriction and write the prolonged primal/dual into
-  /// `working_set.qp_state` as the fine seed.  No-op unless
-  /// options_.multigrid and the incremental warm path are active.
-  void maybe_multigrid_seed(double tau, WorkingSet& working_set,
-                            const qp::QpSettings& fine_settings,
-                            CutTelemetry& telemetry);
-  /// One cutting-plane solve, counters into `telemetry` (the member
-  /// telemetry_ for sequential probes, a per-node sink for speculative
-  /// ones -- solve_leakage_qp touches no other member state, which is what
-  /// lets speculative probes run concurrently on snapshot working sets).
-  SolveOutcome solve_leakage_qp(double tau, WorkingSet& working_set,
-                                CutTelemetry& telemetry);
-  SolveOutcome solve_leakage_qp(double tau, WorkingSet& working_set) {
-    return solve_leakage_qp(tau, working_set, telemetry_);
-  }
-  /// Deep copy of a working set for a speculative child probe, as if its
-  /// parent (at `parent_tau`) had just solved without committing cuts.
-  WorkingSet clone_working_set(const WorkingSet& ws, double parent_tau) const;
+  /// One cutting-plane solve; counters accumulate into telemetry_.
+  SolveOutcome solve_leakage_qp(double tau, WorkingSet& working_set);
   sta::VariantAssignment snap_variants(const SolveOutcome& outcome) const;
   void golden_eval(const SolveOutcome& outcome, double* mct_ns,
                    double* leakage_uw) const;

@@ -62,62 +62,4 @@ CgResult conjugate_gradient(const std::function<void(const Vec&, Vec&)>& op,
   return result;
 }
 
-CgResult conjugate_gradient_f(
-    const std::function<void(const VecF&, VecF&)>& op, const VecF& b,
-    const VecF& precond_diag, VecF& x, const CgOptions& options,
-    CgWorkspaceF* workspace) {
-  const std::size_t n = b.size();
-  DOSEOPT_CHECK(x.size() == n, "cg_f: x size mismatch");
-  DOSEOPT_CHECK(precond_diag.size() == n,
-                "cg_f: preconditioner size mismatch");
-
-  CgResult result;
-  ThreadPool* pool = options.pool;
-  CgWorkspaceF local;
-  CgWorkspaceF& ws = workspace != nullptr ? *workspace : local;
-  ws.r.resize(n);
-  ws.z.resize(n);
-  ws.p.resize(n);
-  ws.ap.resize(n);
-  VecF& r = ws.r;
-  VecF& z = ws.z;
-  VecF& p = ws.p;
-  VecF& ap = ws.ap;
-
-  op(x, ap);
-  double r_norm2 = fused_residual_f(b, ap, r, pool);
-
-  const double b_norm = std::sqrt(fused_dot_f(b, b, pool));
-  const double stop = options.tolerance * (b_norm > 0.0 ? b_norm : 1.0);
-  const double stop2 = stop * stop;
-
-  if (r_norm2 <= stop2) {
-    result.converged = true;
-    result.residual_norm = std::sqrt(r_norm2);
-    return result;
-  }
-
-  double rz = fused_precond_dot_f(r, precond_diag, z, pool);
-  p = z;
-
-  for (int it = 0; it < options.max_iterations; ++it) {
-    op(p, ap);
-    const double pap = fused_dot_f(p, ap, pool);
-    if (pap <= 0.0) break;  // loss of positive-definiteness / stagnation
-    const double alpha = rz / pap;
-    r_norm2 = fused_cg_update_f(alpha, p, ap, x, r, pool);
-    result.iterations = it + 1;
-    if (r_norm2 <= stop2) {
-      result.converged = true;
-      break;
-    }
-    const double rz_new = fused_precond_dot_f(r, precond_diag, z, pool);
-    const double beta = rz_new / rz;
-    rz = rz_new;
-    fused_xpby_f(z, beta, p, pool);
-  }
-  result.residual_norm = std::sqrt(r_norm2);
-  return result;
-}
-
 }  // namespace doseopt::la

@@ -28,11 +28,6 @@ struct CgWorkspace {
   Vec r, z, p, ap;
 };
 
-/// Float scratch for conjugate_gradient_f.
-struct CgWorkspaceF {
-  VecF r, z, p, ap;
-};
-
 /// Options for a CG solve.
 struct CgOptions {
   int max_iterations = 500;
@@ -49,15 +44,5 @@ CgResult conjugate_gradient(
     const std::function<void(const Vec&, Vec&)>& op, const Vec& b,
     const Vec& precond_diag, Vec& x, const CgOptions& options = {},
     CgWorkspace* workspace = nullptr);
-
-/// Float32 CG for the mixed-precision fast path.  Identical loop structure
-/// to the double solve; vector sweeps run in float32 while every reduction
-/// accumulates (and every scalar -- alpha, beta, residual norms -- is kept)
-/// in float64, so the convergence test matches the double solve's contract:
-/// stop when ||r|| <= tolerance * ||b||, both norms in double.
-CgResult conjugate_gradient_f(
-    const std::function<void(const VecF&, VecF&)>& op, const VecF& b,
-    const VecF& precond_diag, VecF& x, const CgOptions& options = {},
-    CgWorkspaceF* workspace = nullptr);
 
 }  // namespace doseopt::la

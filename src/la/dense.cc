@@ -171,75 +171,4 @@ void fused_xpby(const Vec& z, double beta, Vec& p, ThreadPool* pool) {
   });
 }
 
-double fused_dot_f(const VecF& a, const VecF& b, ThreadPool* pool) {
-  DOSEOPT_CHECK(a.size() == b.size(), "fused_dot_f: size mismatch");
-  return chunked_reduce(a.size(), pool,
-                        [&](std::size_t lo, std::size_t hi) {
-                          double s = 0.0;
-                          for (std::size_t i = lo; i < hi; ++i)
-                            s += static_cast<double>(a[i] * b[i]);
-                          return s;
-                        });
-}
-
-double fused_residual_f(const VecF& b, const VecF& ax, VecF& r,
-                        ThreadPool* pool) {
-  DOSEOPT_CHECK(b.size() == ax.size() && b.size() == r.size(),
-                "fused_residual_f: size mismatch");
-  return chunked_reduce(b.size(), pool,
-                        [&](std::size_t lo, std::size_t hi) {
-                          double s = 0.0;
-                          for (std::size_t i = lo; i < hi; ++i) {
-                            const float v = b[i] - ax[i];
-                            r[i] = v;
-                            s += static_cast<double>(v * v);
-                          }
-                          return s;
-                        });
-}
-
-double fused_cg_update_f(double alpha, const VecF& p, const VecF& ap, VecF& x,
-                         VecF& r, ThreadPool* pool) {
-  DOSEOPT_CHECK(p.size() == x.size() && ap.size() == r.size() &&
-                    p.size() == r.size(),
-                "fused_cg_update_f: size mismatch");
-  const float a = static_cast<float>(alpha);
-  return chunked_reduce(p.size(), pool,
-                        [&](std::size_t lo, std::size_t hi) {
-                          double s = 0.0;
-                          for (std::size_t i = lo; i < hi; ++i) {
-                            x[i] += a * p[i];
-                            const float v = r[i] - a * ap[i];
-                            r[i] = v;
-                            s += static_cast<double>(v * v);
-                          }
-                          return s;
-                        });
-}
-
-double fused_precond_dot_f(const VecF& r, const VecF& diag, VecF& z,
-                           ThreadPool* pool) {
-  DOSEOPT_CHECK(r.size() == diag.size() && r.size() == z.size(),
-                "fused_precond_dot_f: size mismatch");
-  return chunked_reduce(r.size(), pool,
-                        [&](std::size_t lo, std::size_t hi) {
-                          double s = 0.0;
-                          for (std::size_t i = lo; i < hi; ++i) {
-                            const float d = diag[i];
-                            const float v = d > 0.0f ? r[i] / d : r[i];
-                            z[i] = v;
-                            s += static_cast<double>(r[i] * v);
-                          }
-                          return s;
-                        });
-}
-
-void fused_xpby_f(const VecF& z, double beta, VecF& p, ThreadPool* pool) {
-  DOSEOPT_CHECK(z.size() == p.size(), "fused_xpby_f: size mismatch");
-  const float b = static_cast<float>(beta);
-  chunked_sweep(z.size(), pool, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) p[i] = z[i] + b * p[i];
-  });
-}
-
 }  // namespace doseopt::la

@@ -22,7 +22,6 @@ class ThreadPool;
 namespace doseopt::la {
 
 using Vec = std::vector<double>;
-using VecF = std::vector<float>;
 
 /// Dot product. Requires equal sizes.
 double dot(const Vec& a, const Vec& b);
@@ -69,36 +68,6 @@ double fused_precond_dot(const Vec& r, const Vec& diag, Vec& z,
 
 /// p = z + beta * p (the CG direction update).
 void fused_xpby(const Vec& z, double beta, Vec& p, ThreadPool* pool = nullptr);
-
-// ---------------------------------------------------------------------------
-// Float32 variants of the fused CG kernels, for the mixed-precision inner
-// CG fast path.  Same fixed-chunk reduction contract (kChunk-sized chunks,
-// partials combined in chunk order => bit-identical at any thread count);
-// per-element products are computed in float32 and the per-chunk partials
-// accumulate in float64, so the scalar step sizes (alpha, beta) the caller
-// derives from them keep full double precision.
-// ---------------------------------------------------------------------------
-
-/// Deterministic dot product <a, b> over float vectors.
-double fused_dot_f(const VecF& a, const VecF& b, ThreadPool* pool = nullptr);
-
-/// r = b - ax in float; returns <r, r>.  Single pass.
-double fused_residual_f(const VecF& b, const VecF& ax, VecF& r,
-                        ThreadPool* pool = nullptr);
-
-/// The float CG step update: x += alpha * p, r -= alpha * ap; returns the
-/// new <r, r>.  `alpha` is rounded to float once, before the sweep.
-double fused_cg_update_f(double alpha, const VecF& p, const VecF& ap, VecF& x,
-                         VecF& r, ThreadPool* pool = nullptr);
-
-/// Float Jacobi apply fused with <r, z>: z_i = r_i / d_i (d_i <= 0 passes
-/// r_i through); returns <r, z>.
-double fused_precond_dot_f(const VecF& r, const VecF& diag, VecF& z,
-                           ThreadPool* pool = nullptr);
-
-/// p = z + beta * p in float (`beta` rounded to float once).
-void fused_xpby_f(const VecF& z, double beta, VecF& p,
-                  ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // Lane-panel kernels (batched structure-of-arrays STA).

@@ -213,85 +213,6 @@ CsrMatrix CsrMatrix::scaled(const Vec& row_scale, const Vec& col_scale) const {
   return out;
 }
 
-void CsrMatrixF::assign_from(const CsrMatrix& src) {
-  DOSEOPT_CHECK(src.nnz() <= UINT32_MAX && src.rows() <= UINT32_MAX,
-                "CsrMatrixF: matrix too large for 32-bit indices");
-  rows_ = src.rows_;
-  cols_ = src.cols_;
-  row_ptr_.resize(src.row_ptr_.size());
-  for (std::size_t i = 0; i < src.row_ptr_.size(); ++i)
-    row_ptr_[i] = static_cast<std::uint32_t>(src.row_ptr_[i]);
-  col_idx_ = src.col_idx_;
-  val_.resize(src.val_.size());
-  for (std::size_t k = 0; k < src.val_.size(); ++k)
-    val_[k] = static_cast<float>(src.val_[k]);
-  tr_ptr_.resize(src.tr_ptr_.size());
-  for (std::size_t i = 0; i < src.tr_ptr_.size(); ++i)
-    tr_ptr_[i] = static_cast<std::uint32_t>(src.tr_ptr_[i]);
-  tr_row_ = src.tr_row_;
-  tr_val_.resize(src.tr_val_.size());
-  for (std::size_t k = 0; k < src.tr_val_.size(); ++k)
-    tr_val_[k] = static_cast<float>(src.tr_val_[k]);
-}
-
-void CsrMatrixF::multiply(const VecF& x, VecF& y) const {
-  DOSEOPT_CHECK(x.size() == cols_, "multiply: x size mismatch");
-  y.resize(rows_);
-  const float* xv = x.data();
-  const std::uint32_t* ci = col_idx_.data();
-  const float* vv = val_.data();
-  auto row_kernel = [&](std::size_t r) {
-    float s = 0.0f;
-    for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      s += vv[k] * xv[ci[k]];
-    y[r] = s;
-  };
-  if (use_pool(rows_, val_.size())) {
-    ThreadPool::global().parallel_for(rows_, row_kernel);
-  } else {
-    for (std::size_t r = 0; r < rows_; ++r) row_kernel(r);
-  }
-}
-
-void CsrMatrixF::multiply_transpose(const VecF& x, VecF& y) const {
-  DOSEOPT_CHECK(x.size() == rows_, "multiply_transpose: x size mismatch");
-  y.resize(cols_);
-  const float* xv = x.data();
-  const std::uint32_t* ri = tr_row_.data();
-  const float* vv = tr_val_.data();
-  auto col_kernel = [&](std::size_t c) {
-    float s = 0.0f;
-    for (std::uint32_t k = tr_ptr_[c]; k < tr_ptr_[c + 1]; ++k)
-      s += vv[k] * xv[ri[k]];
-    y[c] = s;
-  };
-  if (use_pool(cols_, val_.size())) {
-    ThreadPool::global().parallel_for(cols_, col_kernel);
-  } else {
-    for (std::size_t c = 0; c < cols_; ++c) col_kernel(c);
-  }
-}
-
-void CsrMatrixF::add_gram_product(float alpha, const VecF& x, VecF& y,
-                                  VecF& scratch) const {
-  DOSEOPT_CHECK(y.size() == cols_, "add_gram_product: y size mismatch");
-  multiply(x, scratch);
-  const float* sv = scratch.data();
-  const std::uint32_t* ri = tr_row_.data();
-  const float* vv = tr_val_.data();
-  auto col_kernel = [&](std::size_t c) {
-    float s = y[c];
-    for (std::uint32_t k = tr_ptr_[c]; k < tr_ptr_[c + 1]; ++k)
-      s += vv[k] * (alpha * sv[ri[k]]);
-    y[c] = s;
-  };
-  if (use_pool(cols_, val_.size())) {
-    ThreadPool::global().parallel_for(cols_, col_kernel);
-  } else {
-    for (std::size_t c = 0; c < cols_; ++c) col_kernel(c);
-  }
-}
-
 Vec CsrMatrix::row_dense(std::size_t r) const {
   DOSEOPT_CHECK(r < rows_, "row_dense: out of range");
   Vec out(cols_, 0.0);

@@ -111,48 +111,6 @@ class CsrMatrix {
   std::vector<std::size_t> tr_ptr_;
   std::vector<std::uint32_t> tr_row_;
   std::vector<double> tr_val_;
-
-  friend class CsrMatrixF;
-};
-
-/// Float32 shadow of a CsrMatrix for the mixed-precision CG fast path:
-/// same structure (including the transpose gather index), values narrowed
-/// to float.  `assign_from` refreshes the shadow in place, reusing storage
-/// when only rows were appended, so keeping a shadow in a warm-state cache
-/// costs one value copy per refresh instead of a rebuild.
-///
-/// Products keep the same fixed per-element accumulation order as the
-/// double kernels (each output owned by one loop index), so results are
-/// bit-identical at any thread count.
-class CsrMatrixF {
- public:
-  CsrMatrixF() = default;
-
-  /// Rebuild the shadow from `src` (structure copy + value narrowing).
-  void assign_from(const CsrMatrix& src);
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::size_t nnz() const { return val_.size(); }
-
-  /// y = A x.
-  void multiply(const VecF& x, VecF& y) const;
-
-  /// y = A^T x.
-  void multiply_transpose(const VecF& x, VecF& y) const;
-
-  /// y += alpha * A^T (A x); scratch must have size rows().
-  void add_gram_product(float alpha, const VecF& x, VecF& y,
-                        VecF& scratch) const;
-
- private:
-  std::size_t rows_ = 0, cols_ = 0;
-  std::vector<std::uint32_t> row_ptr_;
-  std::vector<std::uint32_t> col_idx_;
-  std::vector<float> val_;
-  std::vector<std::uint32_t> tr_ptr_;
-  std::vector<std::uint32_t> tr_row_;
-  std::vector<float> tr_val_;
 };
 
 }  // namespace doseopt::la

@@ -8,7 +8,6 @@
 #include "common/error.h"
 #include "faultinject/fault.h"
 #include "la/cg.h"
-#include "qp/kkt_check.h"
 
 namespace doseopt::qp {
 
@@ -16,7 +15,6 @@ namespace {
 
 faultinject::FaultPoint g_fault_admm_diverge("qp.admm_diverge");
 faultinject::FaultPoint g_fault_kkt_reject("qp.kkt_reject");
-faultinject::FaultPoint g_fault_mixed_stall("qp.mixed_precision_stall");
 
 /// Acceptance gate for the warm incremental path: every component of the
 /// returned iterate and its diagnostics must be finite.
@@ -293,11 +291,7 @@ bool polish_solution(const QpSettings& s, const QpProblem& problem,
 /// The ADMM iteration loop on pre-scaled data.  `x` and `y` enter in
 /// *scaled* coordinates; the returned solution is unscaled.  `rho_io`
 /// carries the penalty in and out (adaptive updates persist across
-/// incremental solves).  `scratch` supplies every per-iteration vector;
-/// with s.mixed_precision the loose-tolerance inner CGs run through its
-/// float32 shadows, and a stalled float path returns immediately with
-/// sol.mixed_stall set (iterate unusable -- the caller re-runs pure
-/// double).
+/// incremental solves).  `scratch` supplies every per-iteration vector.
 QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
                     const Scaling& sc, const la::CsrMatrix& a_s,
                     const la::Vec& gram_diag, la::Vec& x, la::Vec& y,
@@ -346,48 +340,9 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
   cg_scratch.resize(m);
   work_m.resize(m);
 
-  // Mixed-precision setup: refresh the float shadow of the scaled matrix
-  // if it mirrors a different (rows, nnz) generation, and build the float
-  // copies of the diagonal operators.  kMixedTolFloor gates the fast path
-  // to tolerances float32 residuals can actually certify.
-  const bool mixed = s.mixed_precision;
-  // Float32 residuals carry ~1e-7 relative noise per sweep, so only CG
-  // tolerances of 1e-4 and up can be *certified* in float -- exactly the
-  // loose early phase of the inexact-ADMM schedule, which is where cold-ish
-  // and retargeted solves burn most of their inner iterations.  Tighter
-  // tolerances go straight to the double kernels.
-  constexpr double kMixedTolFloor = 1e-4;
-  constexpr int kMixedStallLimit = 8;
-  int mixed_misses = 0;
-  bool float_latched_off = false;
-  if (mixed) {
-    if (g_fault_mixed_stall.should_fire()) {
-      sol.mixed_stall = true;
-      *rho_io = rho;
-      return sol;
-    }
-    if (w.a_f_rows != a_s.rows() || w.a_f_nnz != a_s.nnz()) {
-      w.a_f.assign_from(a_s);
-      w.a_f_rows = a_s.rows();
-      w.a_f_nnz = a_s.nnz();
-    }
-    w.ps_sigma_f.resize(n);
-    for (std::size_t j = 0; j < n; ++j)
-      w.ps_sigma_f[j] = static_cast<float>(p_s[j] + s.sigma);
-    w.precond_f.resize(n);
-    w.rhs_f.resize(n);
-    w.x_f.resize(n);
-    w.work_m_f.resize(m);
-    w.z_tilde_f.resize(m);
-    w.cg_scratch_f.resize(m);
-  }
-
   auto build_precond = [&]() {
     for (std::size_t j = 0; j < n; ++j)
       precond[j] = p_s[j] + s.sigma + rho * gram_diag[j];
-    if (mixed)
-      for (std::size_t j = 0; j < n; ++j)
-        w.precond_f[j] = static_cast<float>(precond[j]);
   };
   build_precond();
 
@@ -395,13 +350,6 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
     for (std::size_t j = 0; j < n; ++j) out[j] = (p_s[j] + s.sigma) * v[j];
     a_s.add_gram_product(rho, v, out, cg_scratch);
   };
-  auto kkt_op_f = [&](const la::VecF& v, la::VecF& out) {
-    out.resize(n);
-    const float rho_f = static_cast<float>(rho);
-    for (std::size_t j = 0; j < n; ++j) out[j] = w.ps_sigma_f[j] * v[j];
-    w.a_f.add_gram_product(rho_f, v, out, w.cg_scratch_f);
-  };
-
   bool polished_early = false;
   // Stall bookkeeping: best residuals seen so far and the last iteration
   // at which either improved by at least 1%.
@@ -422,46 +370,12 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
   for (int iter = 1; iter <= s.max_iterations; ++iter) {
     // x update: (P + sigma I + rho A'A) x~ = sigma x - q + A'(rho z - y).
     cg_opts.tolerance = std::max(s.cg_tolerance, cg_tol);
-    bool float_step = false;
-    bool refine_guess = false;
-    if (mixed && !float_latched_off && cg_opts.tolerance >= kMixedTolFloor) {
-      // Float32 fast path: rhs assembly, CG, and A x~ through the shadows.
-      for (std::size_t i = 0; i < m; ++i)
-        w.work_m_f[i] = static_cast<float>(rho * z[i] - y[i]);
-      w.a_f.multiply_transpose(w.work_m_f, w.rhs_f);
-      for (std::size_t j = 0; j < n; ++j)
-        w.rhs_f[j] += static_cast<float>(s.sigma * x[j] - q_s[j]);
-      for (std::size_t j = 0; j < n; ++j)
-        w.x_f[j] = static_cast<float>(x[j]);
-      const la::CgResult fr = la::conjugate_gradient_f(
-          kkt_op_f, w.rhs_f, w.precond_f, w.x_f, cg_opts, &w.cg_ws_f);
-      sol.mixed_cg_iterations += fr.iterations;
-      for (std::size_t j = 0; j < n; ++j) x_tilde[j] = w.x_f[j];
-      if (fr.converged) {
-        sol.mixed_precision = true;
-        w.a_f.multiply(w.x_f, w.z_tilde_f);
-        z_tilde.resize(m);
-        for (std::size_t i = 0; i < m; ++i) z_tilde[i] = w.z_tilde_f[i];
-        float_step = true;
-      } else {
-        // Refinement: the float residual bottomed out above tolerance; fall
-        // through to a double CG warm-started from the float iterate (the
-        // in-place recovery -- nothing solved so far is discarded).  Too
-        // many of these and the fast path is a net loss: latch it off for
-        // the remainder of this solve and run pure double from here on.
-        refine_guess = true;
-        if (++mixed_misses > kMixedStallLimit) float_latched_off = true;
-      }
-    }
-    if (!float_step) {
-      for (std::size_t i = 0; i < m; ++i) work_m[i] = rho * z[i] - y[i];
-      a_s.multiply_transpose(work_m, rhs);
-      for (std::size_t j = 0; j < n; ++j) rhs[j] += s.sigma * x[j] - q_s[j];
-      if (!refine_guess) x_tilde = x;
-      la::conjugate_gradient(kkt_op, rhs, precond, x_tilde, cg_opts,
-                             &w.cg_ws);
-      a_s.multiply(x_tilde, z_tilde);
-    }
+    for (std::size_t i = 0; i < m; ++i) work_m[i] = rho * z[i] - y[i];
+    a_s.multiply_transpose(work_m, rhs);
+    for (std::size_t j = 0; j < n; ++j) rhs[j] += s.sigma * x[j] - q_s[j];
+    x_tilde = x;
+    la::conjugate_gradient(kkt_op, rhs, precond, x_tilde, cg_opts, &w.cg_ws);
+    a_s.multiply(x_tilde, z_tilde);
 
     // z and y updates with over-relaxation.
     for (std::size_t i = 0; i < m; ++i) {
@@ -667,38 +581,6 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
   return sol;
 }
 
-/// Independent float64 acceptance for mixed-precision solutions: recompute
-/// the stationarity and primal-feasibility residuals of the returned
-/// (x, y) from scratch in double (qp/kkt_check) and hold them to a
-/// scale-aware tolerance -- these are exactly the two properties the ADMM
-/// termination certifies, re-derived without any float32 intermediate, so
-/// float noise in the trajectory cannot smuggle a corrupted solution past
-/// them.  Complementarity/dual-sign are deliberately NOT gated here: an
-/// unpolished ADMM exit holds nonzero duals on near-duplicate inactive
-/// rows (pure-double exits included), while polished solutions already
-/// passed the full double-precision KKT acceptance inside the polish.
-/// Solutions the double path produced, infeasibility certificates, and
-/// max-iteration exits (whose residuals sit above eps by construction,
-/// mixed or not) pass through.
-bool mixed_kkt_accept(const QpSettings& s, const QpProblem& problem,
-                      const QpSolution& sol) {
-  if (!sol.mixed_precision || sol.status != QpStatus::kSolved) return true;
-  const std::size_t n = problem.num_variables();
-  if (sol.x.size() != n || sol.y.size() != problem.num_constraints())
-    return false;
-  const KktReport kkt = check_kkt(problem, sol.x, sol.y);
-  la::Vec aty(n);
-  problem.a.multiply_transpose(sol.y, aty);
-  double scale = 1.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    scale = std::max(scale, std::abs(problem.p_diag[j] * sol.x[j]));
-    scale = std::max(scale, std::abs(problem.q[j]));
-    scale = std::max(scale, std::abs(aty[j]));
-  }
-  const double tol = 10.0 * (s.eps_abs + s.eps_rel * scale);
-  return kkt.stationarity <= tol && kkt.primal_violation <= tol;
-}
-
 }  // namespace
 
 QpSolution QpSolver::solve(const QpProblem& problem, const la::Vec& x0,
@@ -714,24 +596,12 @@ QpSolution QpSolver::solve(const QpProblem& problem, const la::Vec& x0,
   const la::Vec gram_diag = a_s.gram_diagonal();
 
   QpScratch scratch;
-  QpSettings active = settings_;
   la::Vec x(n), y(m);
-  for (;;) {
-    for (std::size_t j = 0; j < n; ++j) x[j] = x0[j] / sc.e[j];
-    for (std::size_t i = 0; i < m; ++i) y[i] = sc.c * y0[i] / sc.d[i];
-    double rho = active.rho;
-    QpSolution sol = run_admm(active, problem, sc, a_s, gram_diag, x, y,
-                              &rho, scratch);
-    if (active.mixed_precision &&
-        (sol.mixed_stall || !mixed_kkt_accept(active, problem, sol))) {
-      // Mixed-precision degradation: re-run the whole solve pure double,
-      // bit-identical to mixed_precision = false from the outset.
-      active.mixed_precision = false;
-      continue;
-    }
-    sol.mixed_fallback = active.mixed_precision != settings_.mixed_precision;
-    return sol;
-  }
+  for (std::size_t j = 0; j < n; ++j) x[j] = x0[j] / sc.e[j];
+  for (std::size_t i = 0; i < m; ++i) y[i] = sc.c * y0[i] / sc.d[i];
+  double rho = settings_.rho;
+  return run_admm(settings_, problem, sc, a_s, gram_diag, x, y, &rho,
+                  scratch);
 }
 
 QpSolution QpSolver::solve_incremental(const QpProblem& problem,
@@ -748,14 +618,10 @@ QpSolution QpSolver::solve_incremental(const QpProblem& problem,
   if (!settings_.warm_start) {
     // Historical cold path: full equilibration, zero dual; only the primal
     // iterate carries over (the pre-incremental behavior of the cutting-
-    // plane loop).  Mixed precision is a warm-path-only optimization, so
-    // it is stripped here -- this branch stays bit-identical to the
-    // pre-mixed-precision solver.
-    QpSettings cold_s = settings_;
-    cold_s.mixed_precision = false;
+    // plane loop).
     la::Vec x0 = state.x.size() == n ? state.x : la::Vec(n, 0.0);
     la::Vec y0(m, 0.0);
-    QpSolution sol = QpSolver(cold_s).solve(problem, x0, y0);
+    QpSolution sol = solve(problem, x0, y0);
     state.x = sol.x;
     state.y = sol.y;
     return sol;
@@ -769,10 +635,9 @@ QpSolution QpSolver::solve_incremental(const QpProblem& problem,
       state.nnz_cached <= problem.a.nnz() &&
       problem.a.row_ptr()[state.rows_cached] == state.nnz_cached;
   if (!compatible) {
-    // Drop the structural caches but keep externally seeded iterates (the
-    // multigrid prolongation writes x/y into a fresh state before the
-    // first fine-grid solve) and the scratch allocations (pure capacity
-    // cache, no numerical state).
+    // Drop the structural caches but keep the carried iterates (a cold
+    // fallback leaves its primal/dual in a state with no scaling cache) and
+    // the scratch allocations (pure capacity cache, no numerical state).
     la::Vec keep_x = std::move(state.x);
     la::Vec keep_y = std::move(state.y);
     QpScratch keep_scratch = std::move(state.scratch);
@@ -833,34 +698,17 @@ QpSolution QpSolver::solve_incremental(const QpProblem& problem,
   // sequence than restarting from the default).
   la::Vec& x = state.scratch.seed_x;
   la::Vec& y = state.scratch.seed_y;
-  auto seed_iterates = [&]() {
-    x.assign(n, 0.0);
-    y.assign(m, 0.0);
-    if (state.x.size() == n)
-      for (std::size_t j = 0; j < n; ++j) x[j] = state.x[j] / sc.e[j];
-    const std::size_t carried = std::min(state.y.size(), m);
-    for (std::size_t i = 0; i < carried; ++i)
-      y[i] = sc.c * state.y[i] / sc.d[i];
-  };
+  x.assign(n, 0.0);
+  y.assign(m, 0.0);
+  if (state.x.size() == n)
+    for (std::size_t j = 0; j < n; ++j) x[j] = state.x[j] / sc.e[j];
+  const std::size_t carried = std::min(state.y.size(), m);
+  for (std::size_t i = 0; i < carried; ++i)
+    y[i] = sc.c * state.y[i] / sc.d[i];
 
-  QpSettings active = settings_;
-  seed_iterates();
-  double rho = active.rho;
-  QpSolution sol = run_admm(active, problem, sc, state.a_scaled,
+  double rho = settings_.rho;
+  QpSolution sol = run_admm(settings_, problem, sc, state.a_scaled,
                             state.gram_diag, x, y, &rho, state.scratch);
-  if (active.mixed_precision &&
-      (sol.mixed_stall || !mixed_kkt_accept(active, problem, sol))) {
-    // Mixed-precision degradation (first rung of the ladder): the float
-    // path stalled or its solution failed the independent float64 KKT
-    // acceptance.  Re-run this warm solve pure double from the same seeds
-    // -- bit-identical to a mixed_precision=false solve.
-    active.mixed_precision = false;
-    seed_iterates();
-    rho = active.rho;
-    sol = run_admm(active, problem, sc, state.a_scaled, state.gram_diag, x,
-                   y, &rho, state.scratch);
-    sol.mixed_fallback = true;
-  }
 
   // Injected divergence: poison the iterate exactly as a blown-up ADMM
   // sequence would surface it, so the real recovery path runs.
@@ -875,15 +723,13 @@ QpSolution QpSolver::solve_incremental(const QpProblem& problem,
     // scaling or duals may be the poison -- and re-solve on the historical
     // cold path from the entry iterate.  This reproduces the
     // warm_start=false semantics bit-for-bit: full equilibration, zero
-    // dual, primal carried from the pre-solve state, pure double.
+    // dual, primal carried from the pre-solve state.
     QpScratch keep_scratch = std::move(state.scratch);
     state.reset();
     state.scratch = std::move(keep_scratch);
-    QpSettings cold_s = settings_;
-    cold_s.mixed_precision = false;
     la::Vec x0 = x_entry.size() == n ? x_entry : la::Vec(n, 0.0);
     la::Vec y0(m, 0.0);
-    QpSolution cold = QpSolver(cold_s).solve(problem, x0, y0);
+    QpSolution cold = solve(problem, x0, y0);
     cold.cold_fallback = true;
     state.x = cold.x;
     state.y = cold.y;

@@ -91,21 +91,6 @@ struct QpSettings {
   /// solutions.  Falls back to the ADMM iterate if the polished point fails
   /// the KKT tolerances (wrong active-set guess).
   bool polish = true;
-  /// Mixed-precision fast path for the ADMM x-update: while the inexact
-  /// inner-CG tolerance is certifiable in float32 (>= 1e-4, above the
-  /// ~1e-7 relative residual noise of a float sweep), the rhs assembly,
-  /// the CG iteration, and the A x~ product run through float32 shadows of
-  /// the scaled matrix (reductions still accumulate in float64, so the
-  /// kernels keep the fixed-chunk determinism contract).  Outer z/y
-  /// updates, termination residuals, and the active-set polish stay full
-  /// double.  Degradation ladder: a float CG that misses tolerance is
-  /// refined by a double CG from the float iterate; repeated misses latch
-  /// float off for the remainder of the solve (as does the tolerance
-  /// ladder tightening past the floor), and a solution that fails the
-  /// independent float64 KKT acceptance of qp/kkt_check re-solves
-  /// pure-double from the same seeds -- bit-identical to running with
-  /// mixed_precision = false.
-  bool mixed_precision = false;
 };
 
 /// Solve outcome.
@@ -133,25 +118,12 @@ struct QpSolution {
   /// cold re-solve -- the historical warm_start=false path, bit-identical
   /// to running with warm starts disabled from the outset.
   bool cold_fallback = false;
-  /// The float32 fast path carried at least one inner CG of this solve.
-  bool mixed_precision = false;
-  /// Internal stall marker from the ADMM loop: the mixed run burned its
-  /// refinement budget (or the injected qp.mixed_precision_stall fired) and
-  /// bailed out with an unusable iterate.  The public entry points never
-  /// return a solution with this set -- they re-run pure double instead.
-  bool mixed_stall = false;
-  /// The mixed run stalled or failed the independent float64 KKT acceptance
-  /// and this solution came from the pure-double re-run (bit-identical to a
-  /// mixed_precision=false solve).
-  bool mixed_fallback = false;
-  int mixed_cg_iterations = 0;  ///< float32 inner-CG iterations spent
 };
 
 /// Reusable solver scratch: every vector the ADMM loop and its inner CG
-/// touch per iteration, plus the float32 shadows of the mixed-precision
-/// path.  Owned by QpWarmState so a sequence of incremental solves (and
-/// every tau probe within a bisection) allocates these once instead of per
-/// call; resize() is a no-op once capacity has peaked.
+/// touch per iteration.  Owned by QpWarmState so a sequence of incremental
+/// solves (and every tau probe within a bisection) allocates these once
+/// instead of per call; resize() is a no-op once capacity has peaked.
 struct QpScratch {
   la::Vec p_s, q_s, l_s, u_s;              ///< scaled problem data
   la::Vec z, rhs, x_tilde, z_tilde;        ///< ADMM iterates
@@ -159,12 +131,6 @@ struct QpScratch {
   la::Vec cg_scratch;                      ///< gram-product row scratch
   la::Vec seed_x, seed_y;                  ///< scaled entry iterates
   la::CgWorkspace cg_ws;                   ///< inner-CG vectors
-  // Mixed-precision shadows (populated only when settings.mixed_precision).
-  la::CsrMatrixF a_f;                      ///< float shadow of a_scaled
-  std::size_t a_f_rows = 0, a_f_nnz = 0;   ///< which a_scaled a_f mirrors
-  la::VecF ps_sigma_f, precond_f;          ///< float diag(P~ + sigma), precond
-  la::VecF rhs_f, x_f, work_m_f, z_tilde_f, cg_scratch_f;
-  la::CgWorkspaceF cg_ws_f;
 };
 
 /// Persistent state carried across a sequence of related solves over a

@@ -19,7 +19,6 @@ JobSpec JobSpec::from_json(const Json& j) {
   spec.modulate_width = j.get_bool("width", spec.modulate_width);
   spec.run_dosepl = j.get_bool("dosepl", spec.run_dosepl);
   spec.incremental = j.get_bool("incremental", spec.incremental);
-  spec.mixed_precision = j.get_bool("mixed", spec.mixed_precision);
   spec.deadline_ms = j.get_number("deadline_ms", spec.deadline_ms);
   spec.tau_ns = j.get_number("tau", spec.tau_ns);
   spec.mc_samples =
@@ -56,7 +55,6 @@ Json JobSpec::to_json() const {
   j.set("width", Json::boolean(modulate_width));
   j.set("dosepl", Json::boolean(run_dosepl));
   j.set("incremental", Json::boolean(incremental));
-  j.set("mixed", Json::boolean(mixed_precision));
   if (deadline_ms > 0.0) j.set("deadline_ms", Json::number(deadline_ms));
   if (tau_ns > 0.0) j.set("tau", Json::number(tau_ns));
   if (mc_samples > 0)
@@ -82,7 +80,6 @@ flow::FlowOptions JobSpec::flow_options() const {
   options.dmopt.dose_upper_pct = dose_range_pct;
   options.dmopt.modulate_width = modulate_width;
   options.dmopt.incremental = incremental;
-  options.dmopt.qp_settings.mixed_precision = mixed_precision;
   options.run_dose_placement = run_dosepl;
   if (yield_target > 0.0) {
     options.dmopt.yield_target = yield_target;
@@ -135,7 +132,6 @@ std::uint64_t JobSpec::job_key() const {
   h = hash_field(h, static_cast<std::uint64_t>(modulate_width ? 1 : 0));
   h = hash_field(h, static_cast<std::uint64_t>(run_dosepl ? 1 : 0));
   h = hash_field(h, static_cast<std::uint64_t>(incremental ? 1 : 0));
-  h = hash_field(h, static_cast<std::uint64_t>(mixed_precision ? 1 : 0));
   h = hash_field(h, tau_ns);
   h = hash_field(h, static_cast<std::uint64_t>(mc_samples));
   h = hash_field(h, yield_target);
@@ -197,12 +193,6 @@ Json flow_result_to_json(const flow::FlowResult& result) {
                  Json::number(result.dmopt.leakage_slack_uw));
   }
   recovery.set("qp_cold_fallbacks", Json::number(ct.qp_cold_fallbacks));
-  recovery.set("mg_seeds", Json::number(ct.mg_seeds));
-  recovery.set("mg_rejects", Json::number(ct.mg_rejects));
-  recovery.set("qp_mixed_solves", Json::number(ct.qp_mixed_solves));
-  recovery.set("qp_mixed_fallbacks", Json::number(ct.qp_mixed_fallbacks));
-  recovery.set("speculative_consumed", Json::number(ct.speculative_consumed));
-  recovery.set("speculative_wasted", Json::number(ct.speculative_wasted));
   dm.set("recovery", std::move(recovery));
   if (result.dmopt.yield_target > 0.0) {
     // Yield-percentile mode: the constraint the loop actually optimized

@@ -8,7 +8,7 @@
 //   { "id": "job-1", "design": "aes65", "scale": 0.05, "seed": 0,
 //     "mode": "timing" | "leakage" | "ssta_yield", "grid": 10.0,
 //     "delta": 2.0, "range": 5.0, "width": false, "dosepl": false,
-//     "incremental": true, "mixed": false, "deadline_ms": 0,
+//     "incremental": true, "deadline_ms": 0,
 //     "tau": 0.0, "mc_samples": 0, "yield_target": 0.0 }
 //
 // Mode "ssta_yield" runs the analytic yield analysis (flow/ssta_yield.h)
@@ -45,11 +45,6 @@ struct JobSpec {
   /// Incremental cutting-plane solve path (warm-started QP); false forces
   /// the cold A/B reference.  Golden results are identical either way.
   bool incremental = true;
-  /// Mixed-precision (float32 inner CG) warm solves.  Solutions must pass
-  /// the float64 KKT acceptance; a stalled or rejected float run falls back
-  /// to pure double (recovery.qp_mixed_fallbacks), so golden results are
-  /// solver-precision-independent.
-  bool mixed_precision = false;
   double deadline_ms = 0.0;  ///< 0 = no deadline
   // SSTA / yield knobs (mode "ssta_yield" and the yield-percentile DMopt).
   double tau_ns = 0.0;        ///< yield evaluation clock; 0 = nominal MCT

@@ -483,22 +483,6 @@ void Server::run_job(const PendingJob& job) {
                                 std::memory_order_relaxed);
       dmopt_extract_us_.fetch_add(ct.extract_ns / 1000,
                                   std::memory_order_relaxed);
-      dmopt_mg_seeds_.fetch_add(static_cast<std::uint64_t>(ct.mg_seeds),
-                                std::memory_order_relaxed);
-      dmopt_mg_rejects_.fetch_add(static_cast<std::uint64_t>(ct.mg_rejects),
-                                  std::memory_order_relaxed);
-      dmopt_mixed_solves_.fetch_add(
-          static_cast<std::uint64_t>(ct.qp_mixed_solves),
-          std::memory_order_relaxed);
-      dmopt_mixed_fallbacks_.fetch_add(
-          static_cast<std::uint64_t>(ct.qp_mixed_fallbacks),
-          std::memory_order_relaxed);
-      dmopt_spec_consumed_.fetch_add(
-          static_cast<std::uint64_t>(ct.speculative_consumed),
-          std::memory_order_relaxed);
-      dmopt_spec_wasted_.fetch_add(
-          static_cast<std::uint64_t>(ct.speculative_wasted),
-          std::memory_order_relaxed);
       result_json = flow_result_to_json(result);
     }
     const auto t3 = clock::now();
@@ -643,12 +627,6 @@ Json Server::metrics() const {
   dmopt.set("assembly_ms", us_ms(dmopt_assembly_us_));
   dmopt.set("solve_ms", us_ms(dmopt_solve_us_));
   dmopt.set("extract_ms", us_ms(dmopt_extract_us_));
-  dmopt.set("mg_seeds", n(dmopt_mg_seeds_));
-  dmopt.set("mg_rejects", n(dmopt_mg_rejects_));
-  dmopt.set("mixed_solves", n(dmopt_mixed_solves_));
-  dmopt.set("mixed_fallbacks", n(dmopt_mixed_fallbacks_));
-  dmopt.set("speculative_consumed", n(dmopt_spec_consumed_));
-  dmopt.set("speculative_wasted", n(dmopt_spec_wasted_));
   m.set("dmopt", std::move(dmopt));
 
   m.set("uptime_ms",

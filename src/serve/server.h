@@ -195,12 +195,6 @@ class Server {
   std::atomic<std::uint64_t> dmopt_assembly_us_{0};
   std::atomic<std::uint64_t> dmopt_solve_us_{0};
   std::atomic<std::uint64_t> dmopt_extract_us_{0};
-  std::atomic<std::uint64_t> dmopt_mg_seeds_{0};
-  std::atomic<std::uint64_t> dmopt_mg_rejects_{0};
-  std::atomic<std::uint64_t> dmopt_mixed_solves_{0};
-  std::atomic<std::uint64_t> dmopt_mixed_fallbacks_{0};
-  std::atomic<std::uint64_t> dmopt_spec_consumed_{0};
-  std::atomic<std::uint64_t> dmopt_spec_wasted_{0};
 };
 
 }  // namespace doseopt::serve

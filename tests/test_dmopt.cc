@@ -4,10 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
-
 #include "dmopt/dmopt.h"
-#include "faultinject/fault.h"
 #include "flow/context.h"
 
 namespace doseopt::dmopt {
@@ -135,108 +132,6 @@ TEST_F(DmoptSmall, VariantsMatchDoseMap) {
               liberty::dose_to_variant_index(r.poly_map.doses()[g]));
     EXPECT_EQ(r.variants.get(id).second, 10);  // active layer untouched
   }
-}
-
-TEST_F(DmoptSmall, SpeculativeBisectionBitIdenticalAcrossLaneCounts) {
-  // The speculative tau bisection makes two distinct promises:
-  //  - vs the sequential loop: the same feasibility frontier (same probe
-  //    taus, decisions, cuts, and golden doubles).  A consumed child solves
-  //    the *same problem* the sequential loop would, warm-started from the
-  //    pre-parent snapshot instead of the post-parent iterate, so its dose
-  //    field may differ at solver-tolerance level (the active-set polish
-  //    equalizes the two only when the detected sets agree);
-  //  - across lane counts: bitwise determinism.  Work is slot-isolated
-  //    (node i writes only its own working set and telemetry) and commit
-  //    order is fixed, so 1, 2, and 8 lanes are the same computation.
-  auto run = [&](int depth, ThreadPool* pool, double budget) {
-    DmoptOptions o;
-    o.grid_um = 10.0;
-    o.speculation_depth = depth;
-    o.pool = pool;
-    DoseMapOptimizer opt(&ctx_->netlist(), &ctx_->placement(),
-                         &ctx_->parasitics(), &ctx_->repo(),
-                         &ctx_->coefficients(false), &ctx_->timer(),
-                         &ctx_->nominal_timing(), o);
-    return opt.minimize_cycle_time(budget);
-  };
-  for (const double budget : {0.0, 0.5 * ctx_->nominal_leakage_uw()}) {
-    const DmoptResult seq = run(0, nullptr, budget);
-    ThreadPool serial(1);
-    const DmoptResult ref = run(2, &serial, budget);  // 1-lane reference
-
-    // Same frontier as the sequential loop.
-    EXPECT_EQ(ref.golden_mct_ns, seq.golden_mct_ns);
-    EXPECT_EQ(ref.golden_leakage_uw, seq.golden_leakage_uw);
-    EXPECT_EQ(ref.bisection_probes, seq.bisection_probes);
-    EXPECT_EQ(ref.telemetry.total_cuts, seq.telemetry.total_cuts);
-    EXPECT_EQ(ref.telemetry.total_rounds, seq.telemetry.total_rounds);
-    EXPECT_NEAR(ref.model_mct_ns, seq.model_mct_ns, 1e-6);
-    ASSERT_EQ(ref.poly_map.doses().size(), seq.poly_map.doses().size());
-    double max_dose_diff = 0.0;
-    for (std::size_t i = 0; i < seq.poly_map.doses().size(); ++i)
-      max_dose_diff = std::max(
-          max_dose_diff,
-          std::fabs(ref.poly_map.doses()[i] - seq.poly_map.doses()[i]));
-    EXPECT_LT(max_dose_diff, 1e-4) << "max dose diff " << max_dose_diff;
-    // The gate must actually have engaged, or this test proves nothing.
-    EXPECT_GT(ref.telemetry.speculative_launched, 0);
-    EXPECT_EQ(ref.telemetry.speculative_launched,
-              ref.telemetry.speculative_consumed +
-                  ref.telemetry.speculative_wasted);
-
-    // Bitwise determinism across lane counts.
-    for (const int lanes : {2, 8}) {
-      ThreadPool pool(lanes);
-      const DmoptResult spec = run(2, &pool, budget);
-      EXPECT_EQ(spec.golden_mct_ns, ref.golden_mct_ns) << lanes;
-      EXPECT_EQ(spec.golden_leakage_uw, ref.golden_leakage_uw) << lanes;
-      EXPECT_EQ(spec.bisection_probes, ref.bisection_probes) << lanes;
-      EXPECT_EQ(spec.model_mct_ns, ref.model_mct_ns) << lanes;
-      EXPECT_EQ(spec.telemetry.total_cuts, ref.telemetry.total_cuts);
-      EXPECT_EQ(spec.telemetry.speculative_launched,
-                ref.telemetry.speculative_launched);
-      EXPECT_EQ(spec.telemetry.speculative_consumed,
-                ref.telemetry.speculative_consumed);
-      int dose_diffs = 0;
-      for (std::size_t i = 0; i < ref.poly_map.doses().size(); ++i)
-        if (spec.poly_map.doses()[i] != ref.poly_map.doses()[i])
-          ++dose_diffs;
-      EXPECT_EQ(dose_diffs, 0) << "lanes=" << lanes;
-    }
-  }
-}
-
-TEST_F(DmoptSmall, MultigridDivergenceRejectMatchesMultigridOff) {
-  // qp.mg_diverge poisons every coarse solution; the advisory reject path
-  // must leave the fine trajectory bit-identical to multigrid off.
-  auto run = [&](bool multigrid) {
-    DmoptOptions o;
-    o.grid_um = 10.0;
-    o.multigrid = multigrid;
-    DoseMapOptimizer opt(&ctx_->netlist(), &ctx_->placement(),
-                         &ctx_->parasitics(), &ctx_->repo(),
-                         &ctx_->coefficients(false), &ctx_->timer(),
-                         &ctx_->nominal_timing(), o);
-    return opt.minimize_cycle_time();
-  };
-  const DmoptResult off = run(false);
-  faultinject::FaultPoint* point = faultinject::find("qp.mg_diverge");
-  ASSERT_NE(point, nullptr);
-  point->arm(faultinject::FaultSpec::parse("always"));
-  const DmoptResult faulted = run(true);
-  point->disarm();
-
-  EXPECT_GT(faulted.telemetry.mg_rejects, 0);
-  EXPECT_EQ(faulted.telemetry.mg_seeds, 0);
-  EXPECT_EQ(off.telemetry.mg_rejects + off.telemetry.mg_seeds, 0);
-  EXPECT_EQ(faulted.golden_mct_ns, off.golden_mct_ns);
-  EXPECT_EQ(faulted.golden_leakage_uw, off.golden_leakage_uw);
-  EXPECT_EQ(faulted.bisection_probes, off.bisection_probes);
-  ASSERT_EQ(faulted.poly_map.doses().size(), off.poly_map.doses().size());
-  int dose_diffs = 0;
-  for (std::size_t i = 0; i < off.poly_map.doses().size(); ++i)
-    if (faulted.poly_map.doses()[i] != off.poly_map.doses()[i]) ++dose_diffs;
-  EXPECT_EQ(dose_diffs, 0);
 }
 
 }  // namespace

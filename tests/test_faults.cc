@@ -63,8 +63,6 @@ const std::vector<std::string>& sweep_manifest() {
       "fleet.worker_stall",
       "qp.admm_diverge",
       "qp.kkt_reject",
-      "qp.mg_diverge",
-      "qp.mixed_precision_stall",
       "serde.snapshot_read",
       "serde.snapshot_write",
       "serve.accept",
@@ -136,15 +134,6 @@ JobSpec cheap_leakage_job() {
   return j;
 }
 
-JobSpec cheap_mixed_job() {
-  // The timing job with float32 inner CG enabled: the only flow that can
-  // reach qp.mixed_precision_stall (the point fires inside the float path).
-  JobSpec j = cheap_timing_job();
-  j.id = "mixed";
-  j.mixed_precision = true;
-  return j;
-}
-
 JobSpec cheap_ssta_job() {
   JobSpec j = cheap_timing_job();
   j.id = "ssta";
@@ -179,8 +168,7 @@ const std::map<std::string, Reference>& references() {
     std::map<std::string, Reference> out;
     // All jobs share one session context, mirroring the server's cache.
     flow::DesignContext ctx(cheap_timing_job().design_spec());
-    for (const JobSpec& spec :
-         {cheap_timing_job(), cheap_leakage_job(), cheap_mixed_job()}) {
+    for (const JobSpec& spec : {cheap_timing_job(), cheap_leakage_job()}) {
       const flow::FlowResult r = flow::run_flow(ctx, spec.flow_options());
       const Json j = serve::flow_result_to_json(r);
       out[spec.id] = Reference{normalized(j).dump(), core(j).dump()};
@@ -230,14 +218,10 @@ TEST(FaultSweep, AnySingleInjectedFaultRecoversBitIdentical) {
     // The fault-free path (and every transport ladder) reproduces the
     // reference document bit-exactly, recovery telemetry included.
     if (normalized(result).dump() == refs.at(ref_id).full) return;
-    // Telemetry differs from the fault-free reference: one of the solver
-    // ladders must have absorbed the injected fault -- a warm solve
-    // re-solved cold, a poisoned multigrid seed rejected (fine solve
-    // proceeds as if multigrid were off), or a stalled float32 run re-run
-    // pure double.  Each ladder preserves the core results bit-exactly.
-    EXPECT_TRUE(recovery.get_number("qp_cold_fallbacks", 0.0) > 0.0 ||
-                recovery.get_number("mg_rejects", 0.0) > 0.0 ||
-                recovery.get_number("qp_mixed_fallbacks", 0.0) > 0.0)
+    // Telemetry differs from the fault-free reference: the solver ladder
+    // must have absorbed the injected fault -- a warm solve re-solved
+    // cold, which preserves the core results bit-exactly.
+    EXPECT_GT(recovery.get_number("qp_cold_fallbacks", 0.0), 0.0)
         << normalized(result).dump();
     EXPECT_EQ(core(result).dump(), refs.at(ref_id).core);
   };
@@ -260,14 +244,6 @@ TEST(FaultSweep, AnySingleInjectedFaultRecoversBitIdentical) {
         client.submit_with_retry(cheap_timing_job(), robust_policy());
     ASSERT_TRUE(reply.ok()) << reply.payload.dump();
     check(reply.payload.get("result"), "timing");
-
-    // The same solve with float32 inner CG: the only job that can consume
-    // an env-armed qp.mixed_precision_stall (the plain jobs never enter
-    // the float path), recovering through the pure-double re-run.
-    const serve::Client::Reply mreply =
-        client.submit_with_retry(cheap_mixed_job(), robust_policy());
-    ASSERT_TRUE(mreply.ok()) << mreply.payload.dump();
-    check(mreply.payload.get("result"), "mixed");
 
     // An ssta_yield job on the same session: an env-armed ssta.nan fires
     // inside the canonical-form propagation and must degrade to the
@@ -368,66 +344,6 @@ TEST(FaultRecovery, QpSolverFaultsFallBackColdBitIdentical) {
     EXPECT_EQ(core(result).dump(), refs.at("timing").core) << point;
     server.stop();
   }
-}
-
-TEST(FaultRecovery, PoisonedMultigridSeedIsRejectedAndRecoversBitIdentical) {
-  // `qp.mg_diverge` poisons one coarse multigrid solution with NaN.  The
-  // seed is advisory: the reject leaves the fine iterate untouched, so the
-  // run proceeds exactly as if multigrid had been off for that solve --
-  // only the mg_seeds/mg_rejects split moves, and the core results stay
-  // bit-identical to the fault-free run.
-  flow::DesignContext ctx(cheap_timing_job().design_spec());
-  const flow::FlowOptions options = cheap_timing_job().flow_options();
-
-  flow::FlowResult ref;
-  {
-    fi::SuspendScope fault_free;
-    ref = flow::run_flow(ctx, options);
-  }
-  // The first warm solve starts from a fresh QP state, so at least one
-  // coarse seed is always attempted -- the armed fault has a target.
-  ASSERT_GT(ref.dmopt.telemetry.mg_seeds + ref.dmopt.telemetry.mg_rejects, 0);
-
-  flow::FlowResult faulted;
-  {
-    fi::ArmScope fault("qp.mg_diverge", "once");
-    faulted = flow::run_flow(ctx, options);
-  }
-  EXPECT_EQ(faulted.dmopt.telemetry.mg_rejects,
-            ref.dmopt.telemetry.mg_rejects + 1);
-  EXPECT_EQ(faulted.dmopt.telemetry.qp_cold_fallbacks, 0);
-  EXPECT_EQ(core(serve::flow_result_to_json(faulted)).dump(),
-            core(serve::flow_result_to_json(ref)).dump());
-}
-
-TEST(FaultRecovery, MixedPrecisionStallFallsBackToDoubleBitIdentical) {
-  // `qp.mixed_precision_stall` aborts one float32 ADMM run before it
-  // starts; the ladder re-runs that solve pure double from the same warm
-  // seeds (bit-identical to mixed_precision=false for that solve) and the
-  // run continues, with the fallback counted.
-  flow::DesignContext ctx(cheap_mixed_job().design_spec());
-  const flow::FlowOptions options = cheap_mixed_job().flow_options();
-
-  flow::FlowResult ref;
-  {
-    fi::SuspendScope fault_free;
-    ref = flow::run_flow(ctx, options);
-  }
-  ASSERT_GT(ref.dmopt.telemetry.qp_mixed_solves, 0);
-
-  flow::FlowResult faulted;
-  {
-    fi::ArmScope fault("qp.mixed_precision_stall", "once");
-    faulted = flow::run_flow(ctx, options);
-  }
-  EXPECT_EQ(faulted.dmopt.telemetry.qp_mixed_fallbacks,
-            ref.dmopt.telemetry.qp_mixed_fallbacks + 1);
-  EXPECT_EQ(core(serve::flow_result_to_json(faulted)).dump(),
-            core(serve::flow_result_to_json(ref)).dump());
-  // The float64 KKT acceptance makes golden results precision-independent:
-  // the mixed run's signoff numbers are the plain timing run's, bit-exact.
-  EXPECT_EQ(core(serve::flow_result_to_json(ref)).dump(),
-            references().at("timing").core);
 }
 
 TEST(FaultRecovery, InfeasibleQcpFallsBackToLeakageQpWithSlack) {

@@ -287,184 +287,5 @@ TEST(Cg, WorkspaceReuseIsPureOptimization) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Float32 kernels (mixed-precision CG fast path): reductions accumulate in
-// double over float products, sweeps are float; all of it must stay
-// bit-identical across thread counts (fixed-chunk contract) and agree with
-// the double kernels to float precision.
-// ---------------------------------------------------------------------------
-
-TEST(FloatKernels, MatchDoubleToFloatPrecision) {
-  Rng rng(23);
-  const std::size_t n = 10000;
-  Vec a(n), b(n), diag(n);
-  VecF af(n), bf(n), diagf(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a[i] = rng.uniform(-2, 2);
-    b[i] = rng.uniform(-2, 2);
-    diag[i] = rng.uniform() < 0.05 ? 0.0 : rng.uniform(0.5, 2.0);
-    af[i] = static_cast<float>(a[i]);
-    bf[i] = static_cast<float>(b[i]);
-    diagf[i] = static_cast<float>(diag[i]);
-  }
-  const double tol = 1e-4 * static_cast<double>(n);
-
-  EXPECT_NEAR(fused_dot_f(af, bf), fused_dot(a, b), tol);
-
-  Vec r(n);
-  VecF rf(n);
-  EXPECT_NEAR(fused_residual_f(bf, af, rf), fused_residual(b, a, r), tol);
-  Vec z(n);
-  VecF zf(n);
-  EXPECT_NEAR(fused_precond_dot_f(rf, diagf, zf),
-              fused_precond_dot(r, diag, z), tol);
-  Vec x = a, r2 = r;
-  VecF xf = af, r2f = rf;
-  EXPECT_NEAR(fused_cg_update_f(0.37, bf, zf, xf, r2f),
-              fused_cg_update(0.37, b, z, x, r2), tol);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(xf[i], x[i], 1e-4);
-  VecF pf = bf;
-  fused_xpby_f(zf, -1.25, pf);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_EQ(pf[i], zf[i] + (-1.25f) * bf[i]);
-}
-
-TEST(FloatKernels, BitIdenticalAcrossThreadCounts) {
-  Rng rng(29);
-  // Large enough to clear the parallel-dispatch threshold.
-  const std::size_t n = 50000;
-  VecF a(n), b(n), diag(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a[i] = static_cast<float>(rng.uniform(-2, 2));
-    b[i] = static_cast<float>(rng.uniform(-2, 2));
-    diag[i] = static_cast<float>(rng.uniform(0.5, 2.0));
-  }
-  ThreadPool p1(1), p2(2), p8(8);
-  const double d1 = fused_dot_f(a, b, &p1);
-  const double d2 = fused_dot_f(a, b, &p2);
-  const double d8 = fused_dot_f(a, b, &p8);
-  EXPECT_EQ(d1, d2);
-  EXPECT_EQ(d1, d8);
-
-  VecF r1(n), r2(n), r8(n);
-  const double s1 = fused_residual_f(b, a, r1, &p1);
-  const double s2 = fused_residual_f(b, a, r2, &p2);
-  const double s8 = fused_residual_f(b, a, r8, &p8);
-  EXPECT_EQ(s1, s2);
-  EXPECT_EQ(s1, s8);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(r1[i], r2[i]);
-    EXPECT_EQ(r1[i], r8[i]);
-  }
-}
-
-TEST(SparseFloat, ShadowMatchesDoubleProducts) {
-  Rng rng(31);
-  TripletMatrix t(40, 25);
-  for (int k = 0; k < 200; ++k)
-    t.add(rng.uniform_index(40), rng.uniform_index(25),
-          rng.uniform(-1.0, 1.0));
-  CsrMatrix m(t);
-  CsrMatrixF mf;
-  mf.assign_from(m);
-  EXPECT_EQ(mf.rows(), m.rows());
-  EXPECT_EQ(mf.cols(), m.cols());
-  EXPECT_EQ(mf.nnz(), m.nnz());
-
-  Vec x(25);
-  VecF xf(25);
-  for (std::size_t i = 0; i < 25; ++i) {
-    x[i] = rng.uniform(-1, 1);
-    xf[i] = static_cast<float>(x[i]);
-  }
-  Vec y;
-  VecF yf;
-  m.multiply(x, y);
-  mf.multiply(xf, yf);
-  for (std::size_t r = 0; r < 40; ++r) EXPECT_NEAR(yf[r], y[r], 1e-5);
-
-  Vec yt;
-  VecF ytf(40);
-  for (std::size_t r = 0; r < 40; ++r) ytf[r] = static_cast<float>(y[r]);
-  m.multiply_transpose(y, yt);
-  VecF ytf_out;
-  mf.multiply_transpose(ytf, ytf_out);
-  for (std::size_t c = 0; c < 25; ++c) EXPECT_NEAR(ytf_out[c], yt[c], 1e-4);
-
-  Vec g(25, 0.0), scratch(40);
-  VecF gf(25, 0.0f), scratchf(40);
-  m.add_gram_product(2.0, x, g, scratch);
-  mf.add_gram_product(2.0f, xf, gf, scratchf);
-  for (std::size_t c = 0; c < 25; ++c) EXPECT_NEAR(gf[c], g[c], 1e-4);
-}
-
-TEST(SparseFloat, AssignFromTracksAppendedRows) {
-  TripletMatrix t(2, 3);
-  t.add(0, 0, 1.0);
-  t.add(1, 2, 2.0);
-  CsrMatrix m(t);
-  CsrMatrixF mf;
-  mf.assign_from(m);
-  EXPECT_EQ(mf.rows(), 2u);
-
-  m.append_rows({{{0, 3.0}, {1, 4.0}}});
-  mf.assign_from(m);
-  EXPECT_EQ(mf.rows(), 3u);
-  EXPECT_EQ(mf.nnz(), 4u);
-  VecF y;
-  mf.multiply({1.0f, 1.0f, 1.0f}, y);
-  EXPECT_EQ(y[2], 7.0f);
-}
-
-TEST(CgFloat, SolvesSpdSystemAndIsDeterministic) {
-  Rng rng(37);
-  const std::size_t n = 200;
-  TripletMatrix t(2 * n, n);
-  for (std::size_t k = 0; k < 6 * n; ++k)
-    t.add(rng.uniform_index(2 * n), rng.uniform_index(n),
-          rng.uniform(-1.0, 1.0));
-  CsrMatrix b_mat(t);
-  CsrMatrixF bf;
-  bf.assign_from(b_mat);
-
-  Vec diag = b_mat.gram_diagonal();
-  VecF diagf(n), rhsf(n);
-  Vec rhs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    diagf[i] = static_cast<float>(diag[i] + 1.0);
-    rhs[i] = rng.uniform(-1, 1);
-    rhsf[i] = static_cast<float>(rhs[i]);
-  }
-
-  VecF scratchf(2 * n);
-  auto opf = [&](const VecF& v, VecF& out) {
-    out = v;
-    bf.add_gram_product(1.0f, v, out, scratchf);
-  };
-  CgOptions opts;
-  opts.tolerance = 1e-5;
-  opts.max_iterations = 2000;
-  VecF xf(n, 0.0f);
-  const CgResult r = conjugate_gradient_f(opf, rhsf, diagf, xf, opts);
-  EXPECT_TRUE(r.converged);
-
-  // Residual check against the double operator.
-  Vec x(n), ax(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = xf[i];
-  Vec scratch(2 * n);
-  ax = x;
-  b_mat.add_gram_product(1.0, x, ax, scratch);
-  axpy(-1.0, rhs, ax);
-  EXPECT_LT(norm2(ax), 1e-3 * std::max(1.0, norm2(rhs)));
-
-  // Re-solve with a reused workspace: bit-identical.
-  CgWorkspaceF ws;
-  VecF xf2(n, 0.0f);
-  const CgResult r2 = conjugate_gradient_f(opf, rhsf, diagf, xf2, opts, &ws);
-  EXPECT_EQ(r.iterations, r2.iterations);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(xf[i], xf2[i]);
-}
-
 }  // namespace
 }  // namespace doseopt::la

@@ -3,6 +3,7 @@
 // and the CsrMatrix gather-based transpose products.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -114,6 +115,51 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
     EXPECT_EQ(out[i], s);
   }
   EXPECT_FALSE(ThreadPool::in_parallel_region());
+}
+
+TEST(ThreadPool, ConcurrentSubmittersMatchSerialPool) {
+  // Several external threads submit index-ordered loops to one shared
+  // 4-lane pool at once.  Whichever submitter owns the workers fans out;
+  // the others run inline.  Either way every loop must cover each index
+  // exactly once and produce the 1-lane pool's values.
+  constexpr int kSubmitters = 6;
+  constexpr int kRounds = 200;
+  const std::size_t n = 3001;
+  const auto f = [](int t, std::size_t i) {
+    return std::sin(static_cast<double>(i) * 0.11 + t) * 7.0;
+  };
+  ThreadPool serial(1);
+  std::vector<std::vector<double>> want(kSubmitters,
+                                        std::vector<double>(n));
+  for (int t = 0; t < kSubmitters; ++t)
+    serial.parallel_for(n, [&](std::size_t i) { want[t][i] = f(t, i); });
+
+  ThreadPool pool(4);
+  std::vector<int> mismatches(kSubmitters, 0);
+  std::atomic<bool> go{false};  // release all submitters at once
+  std::vector<std::thread> threads;
+  threads.reserve(kSubmitters);
+  for (int t = 0; t < kSubmitters; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<double> got(n);
+      std::vector<int> hits(n);
+      while (!go.load()) std::this_thread::yield();
+      for (int round = 0; round < kRounds; ++round) {
+        std::fill(got.begin(), got.end(), 0.0);
+        std::fill(hits.begin(), hits.end(), 0);
+        pool.parallel_for_lane(n, [&](int lane, std::size_t i) {
+          if (lane < 0 || lane >= pool.lane_count()) return;
+          got[i] = f(t, i);
+          ++hits[i];
+        });
+        for (std::size_t i = 0; i < n; ++i)
+          if (got[i] != want[t][i] || hits[i] != 1) ++mismatches[t];
+      }
+    });
+  }
+  go.store(true);
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kSubmitters; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 }
 
 // ---------------------------------------------------------------------------

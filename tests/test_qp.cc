@@ -9,7 +9,6 @@
 #include <map>
 
 #include "common/rng.h"
-#include "faultinject/fault.h"
 #include "qp/kkt_check.h"
 #include "qp/qp_solver.h"
 
@@ -359,78 +358,6 @@ TEST(QpIncremental, PolishedSolutionsAgreeBitwiseWhenActiveSetsMatch) {
   for (std::size_t i = 0; i < w.x.size(); ++i)
     EXPECT_EQ(w.x[i], c.x[i]) << "x[" << i << "]";
   EXPECT_EQ(w.objective, c.objective);
-}
-
-// ---------------------------------------------------------------------------
-// Mixed-precision inner CG: the float32 fast path must produce solutions
-// that pass the independent float64 KKT acceptance, and its degradation
-// ladder (stall -> pure-double re-run) must be bit-identical to running
-// with mixed precision off.
-// ---------------------------------------------------------------------------
-
-TEST(QpMixed, SolutionsPassKktAndTrackDouble) {
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    GrowingQp grow_m(seed * 7919, 40);
-    GrowingQp grow_d(seed * 7919, 40);
-    QpSettings mixed_settings;
-    mixed_settings.mixed_precision = true;
-    const QpSolver mixed_solver(mixed_settings), double_solver;
-    QpWarmState mixed_state, double_state;
-    bool used_float = false;
-    for (int round = 0; round < 4; ++round) {
-      grow_m.append_cuts(15);
-      grow_d.append_cuts(15);
-      const QpSolution sm =
-          mixed_solver.solve_incremental(grow_m.problem, mixed_state);
-      const QpSolution sd =
-          double_solver.solve_incremental(grow_d.problem, double_state);
-      ASSERT_EQ(sm.status, QpStatus::kSolved) << seed << "/" << round;
-      ASSERT_EQ(sd.status, QpStatus::kSolved) << seed << "/" << round;
-      EXPECT_FALSE(sm.mixed_stall);
-      used_float = used_float || sm.mixed_precision;
-      // Independent float64 acceptance, same bar the solver applies.
-      const KktReport kkt = check_kkt(grow_m.problem, sm.x, sm.y);
-      EXPECT_LT(kkt.primal_violation, 1e-4) << seed << "/" << round;
-      EXPECT_LT(kkt.stationarity, 1e-3) << seed << "/" << round;
-      EXPECT_LT(la::max_abs_diff(sm.x, sd.x), 1e-5) << seed << "/" << round;
-      EXPECT_NEAR(sm.objective, sd.objective,
-                  1e-6 * (1.0 + std::fabs(sd.objective)));
-    }
-    EXPECT_TRUE(used_float) << seed;
-  }
-}
-
-TEST(QpMixed, StallLadderIsBitIdenticalToDoublePath) {
-  // With qp.mixed_precision_stall armed on every hit, every mixed warm
-  // solve must abandon the float path and re-run pure double -- returning
-  // exactly the doubles a mixed_precision=false solver produces, with the
-  // fallback flagged.
-  GrowingQp grow_m(31337, 40);
-  GrowingQp grow_d(31337, 40);
-  QpSettings mixed_settings;
-  mixed_settings.mixed_precision = true;
-  const QpSolver mixed_solver(mixed_settings), double_solver;
-  QpWarmState mixed_state, double_state;
-  faultinject::ArmScope arm("qp.mixed_precision_stall", "always");
-  for (int round = 0; round < 3; ++round) {
-    grow_m.append_cuts(15);
-    grow_d.append_cuts(15);
-    const QpSolution sm =
-        mixed_solver.solve_incremental(grow_m.problem, mixed_state);
-    const QpSolution sd =
-        double_solver.solve_incremental(grow_d.problem, double_state);
-    EXPECT_TRUE(sm.mixed_fallback) << round;
-    EXPECT_FALSE(sm.mixed_precision) << round;
-    EXPECT_EQ(sm.status, sd.status) << round;
-    EXPECT_EQ(sm.iterations, sd.iterations) << round;
-    EXPECT_EQ(sm.objective, sd.objective) << round;
-    ASSERT_EQ(sm.x.size(), sd.x.size());
-    for (std::size_t i = 0; i < sm.x.size(); ++i)
-      EXPECT_EQ(sm.x[i], sd.x[i]) << round << "/x[" << i << "]";
-    for (std::size_t i = 0; i < sm.y.size(); ++i)
-      EXPECT_EQ(sm.y[i], sd.y[i]) << round << "/y[" << i << "]";
-  }
-  EXPECT_GE(arm.point().fires(), 3u);
 }
 
 }  // namespace
