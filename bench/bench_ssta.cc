@@ -20,15 +20,18 @@
 // A final leg runs the DMopt yield-percentile mode end to end
 // (--yield-target): the run must finish with an MC-verified yield at or
 // above the target, or a logged rollback that marks the result degraded.
-// Everything lands in BENCH_ssta.json; any violation exits non-zero.
+// Everything lands in BENCH_ssta.json, stamped with nproc and the process
+// pool's lane count (DOSEOPT_THREADS); any violation exits non-zero.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "flow/context.h"
 #include "flow/optimize.h"
 #include "ssta/ssta.h"
@@ -196,6 +199,8 @@ int main() {
     std::fprintf(f,
                  "{\n"
                  "  \"design\": \"aes65\",\n"
+                 "  \"nproc\": %u,\n"
+                 "  \"threads\": %d,\n"
                  "  \"cells\": %zu,\n"
                  "  \"endpoints\": %zu,\n"
                  "  \"mc_samples\": %d,\n"
@@ -212,6 +217,8 @@ int main() {
                  "  \"yield_err_p90\": %.4f,\n"
                  "  \"yield_err_p99\": %.4f,\n"
                  "  \"frontier\": [\n",
+                 std::thread::hardware_concurrency(),
+                 ThreadPool::global().lane_count(),
                  ctx.netlist().cell_count(), sr.endpoints.size(), mc_samples,
                  mc_s, mc_traversals, ssta_s, ssta_traversals,
                  traversal_ratio, mc.mean_mct_ns, mc.std_mct_ns,

@@ -91,6 +91,20 @@ double Rng::normal() {
   return r * cos_theta;
 }
 
+void Rng::discard_normals(std::uint64_t n) {
+  if (n == 0) return;
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    --n;
+  }
+  for (std::uint64_t pair = 0; pair < n / 2; ++pair) {
+    // u1 (redrawn while it would be 0, as in normal()), then u2.
+    while ((next_u64() >> 11) == 0) continue;
+    next_u64();
+  }
+  if (n % 2 != 0) normal();
+}
+
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }

@@ -34,6 +34,14 @@ class Rng {
   /// Standard normal variate (Box-Muller, cached pair).
   double normal();
 
+  /// Advance the stream exactly as `n` calls to normal() would (same
+  /// state, same cached-normal state afterwards) using integer steps only:
+  /// a pending cached normal is consumed first, each Box-Muller pair costs
+  /// its two words plus the u1 <= 0 retries, and an odd remainder draws its
+  /// last normal for real so the cache matches.  Lets a serial pass record
+  /// the start state of every chunk of a long draw sequence cheaply.
+  void discard_normals(std::uint64_t n);
+
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <queue>
 
 #include "common/error.h"
@@ -590,13 +591,22 @@ DmoptResult DoseMapOptimizer::minimize_leakage_yield(double timing_bound_ns) {
   SolveOutcome outcome;
   int probes = 0;
   const double tol_ns = std::max(5e-4, 0.001 * tau_target);
+  // The last probe's snapped variants and, when its analysis was healthy,
+  // its analytic yield at the target clock: verification reuses that
+  // yield when the finalized recipe snaps to the same variants (analyze()
+  // is a pure function of the assignment).
+  sta::VariantAssignment probed(nl_->cell_count());
+  std::optional<double> probed_yield;
   for (int it = 0; it < 8; ++it) {
     outcome = solve_leakage_qp(tau_model, working_set);
     ++probes;
-    const ssta::SstaResult sr = ssta_timer.analyze(snap_variants(outcome));
+    probed = snap_variants(outcome);
+    const ssta::SstaResult sr = ssta_timer.analyze(probed);
+    probed_yield.reset();
     double gap;
     if (sr.healthy) {
       gap = sr.tau_at_yield(p) - tau_target;
+      probed_yield = sr.yield_at(tau_target);
     } else {
       // Poisoned forms (fault injection): steer on the golden mean this
       // round; the MC verification below still enforces the target.
@@ -623,14 +633,19 @@ DmoptResult DoseMapOptimizer::minimize_leakage_yield(double timing_bound_ns) {
   int rollbacks = 0;
   for (;;) {
     result = finalize(outcome, probes);
-    ssta::SstaResult sr = ssta_timer.analyze(result.variants);
-    if (!sr.healthy) sr = ssta_timer.analyze(result.variants);  // once-faults
+    std::optional<double> ssta_yield;
+    if (probed_yield && result.variants == probed) {
+      ssta_yield = probed_yield;
+    } else {
+      ssta::SstaResult sr = ssta_timer.analyze(result.variants);
+      if (!sr.healthy) sr = ssta_timer.analyze(result.variants);  // once-faults
+      if (sr.healthy) ssta_yield = sr.yield_at(tau_target);
+    }
     const variation::YieldResult mc = verifier.analyze(result.variants);
     result.yield_target = p;
     result.yield_tau_ns = tau_target;
     result.mc_yield = mc.yield_at(tau_target);
-    result.ssta_yield =
-        sr.healthy ? sr.yield_at(tau_target) : result.mc_yield;
+    result.ssta_yield = ssta_yield.value_or(result.mc_yield);
     result.yield_rollbacks = rollbacks;
     if (result.mc_yield >= p || rollbacks >= 3 || tau_model <= tau_floor)
       break;

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
 #include "extract/extract.h"
 #include "faultinject/fault.h"
@@ -107,6 +108,11 @@ double support_cov(const std::vector<ResidualTerm>& x,
   return cov;
 }
 
+/// Antithetic pairs per parallel chunk of the endpoint panel.  A constant,
+/// never derived from the lane count: the chunk boundaries fix the stream
+/// start states, so every sample is the same for any pool.
+constexpr std::size_t kPanelChunkPairs = 256;
+
 /// Deterministic antithetic sampling of max(0, max_i d_i) over the
 /// endpoint forms -- the yield-curve integrator behind yield_at().  The
 /// max of jointly-Gaussian arrivals is right-skewed, which a single
@@ -115,9 +121,15 @@ double support_cov(const std::vector<ResidualTerm>& x,
 /// remainders) costs no graph traversals and nails the skew.  Endpoints
 /// that cannot plausibly set the maximum (mean + 4.5 sigma below the
 /// critical endpoint's 4.5-sigma lower bound) are dropped.
+///
+/// The pairs read one Rng stream in order, each consuming the same number
+/// of normals.  A serial skip pass (Rng::discard_normals, integer steps
+/// only) records the stream state at every chunk start; the chunks then
+/// draw and fold in parallel, each into its own slots of the output, so
+/// every sample equals the one the single-stream serial loop draws.
 std::vector<double> sample_endpoint_panel(
     const std::vector<CanonicalForm>& endpoints, int samples,
-    std::uint64_t seed) {
+    std::uint64_t seed, ThreadPool& pool) {
   std::vector<double> out;
   if (samples <= 0 || endpoints.empty()) return out;
 
@@ -146,28 +158,45 @@ std::vector<double> sample_endpoint_panel(
           t.coef);
   }
 
-  const int pairs = (samples + 1) / 2;
-  out.reserve(2 * static_cast<std::size_t>(pairs));
+  const std::size_t pairs = (static_cast<std::size_t>(samples) + 1) / 2;
+  const std::size_t normals_per_pair = kSources + cells.size() + kept.size();
+  const std::size_t chunks =
+      (pairs + kPanelChunkPairs - 1) / kPanelChunkPairs;
+  std::vector<Rng> chunk_start;
+  chunk_start.reserve(chunks);
   Rng rng(seed ^ 0x55AA33CC9F1E2D4BULL);
-  std::array<double, kSources> x;
-  std::vector<double> z(cells.size());
-  std::vector<double> rdraw(kept.size());
-  for (int s = 0; s < pairs; ++s) {
-    for (double& v : x) v = rng.normal();
-    for (double& v : z) v = rng.normal();
-    for (double& v : rdraw) v = rng.normal();
-    for (const double sign : {1.0, -1.0}) {
-      double worst = 0.0;  // the scalar MCT fold starts at 0
+  for (std::size_t c = 0; c < chunks; ++c) {
+    chunk_start.push_back(rng);
+    if (c + 1 < chunks)
+      rng.discard_normals(kPanelChunkPairs * normals_per_pair);
+  }
+
+  out.resize(2 * pairs);
+  pool.parallel_for(chunks, [&](std::size_t c) {
+    Rng stream = chunk_start[c];
+    std::array<double, kSources> x;
+    std::vector<double> z(cells.size());
+    std::vector<double> rdraw(kept.size());
+    const std::size_t end = std::min(pairs, (c + 1) * kPanelChunkPairs);
+    for (std::size_t s = c * kPanelChunkPairs; s < end; ++s) {
+      for (double& v : x) v = stream.normal();
+      for (double& v : z) v = stream.normal();
+      for (double& v : rdraw) v = stream.normal();
+      // One deviation per endpoint serves both antithetic signs; the
+      // scalar MCT fold starts at 0.
+      double worst_hi = 0.0, worst_lo = 0.0;
       for (std::size_t i = 0; i < kept.size(); ++i) {
         const CanonicalForm& ep = *kept[i];
         double dev = ep.r * rdraw[i];
         for (int k = 0; k < kSources; ++k) dev += ep.a[k] * x[k];
         for (const auto& [zi, coef] : terms[i]) dev += coef * z[zi];
-        worst = std::max(worst, ep.mean + sign * dev);
+        worst_hi = std::max(worst_hi, ep.mean + dev);
+        worst_lo = std::max(worst_lo, ep.mean - dev);
       }
-      out.push_back(worst);
+      out[2 * s] = worst_hi;
+      out[2 * s + 1] = worst_lo;
     }
-  }
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -347,7 +376,8 @@ std::size_t SstaTimer::endpoint_count() const {
   return n + timer_->netlist_->primary_outputs().size();
 }
 
-SstaResult SstaTimer::analyze(const sta::VariantAssignment& base) const {
+SstaResult SstaTimer::analyze(const sta::VariantAssignment& base,
+                              ThreadPool* pool) const {
   timer_->update(base_state_, base);
   const sta::TimingState& st = base_state_;
   const sta::Timer& tm = *timer_;
@@ -600,9 +630,9 @@ SstaResult SstaTimer::analyze(const sta::VariantAssignment& base) const {
   res.sigma_mct_ns = mct.sigma();
   res.healthy = mct.finite();
   if (res.healthy) {
-    res.mct_samples = sample_endpoint_panel(res.endpoints,
-                                            options_.yield_samples,
-                                            model_.seed);
+    res.mct_samples = sample_endpoint_panel(
+        res.endpoints, options_.yield_samples, model_.seed,
+        pool != nullptr ? *pool : ThreadPool::global());
     // The panel is the better MCT estimator when there is real variance:
     // the iterated Clark fold accumulates moment-matching bias over
     // hundreds of correlated endpoints (mean drifts up, sigma collapses),

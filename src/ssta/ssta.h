@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "liberty/coeff_fit.h"
 #include "place/placement.h"
 #include "sta/timer.h"
@@ -174,8 +175,11 @@ class SstaTimer {
 
   /// Propagate canonical forms around the nominal assignment `base`.
   /// Exactly one scalar base pass (incremental off the held state) plus
-  /// one canonical-form traversal.
-  SstaResult analyze(const sta::VariantAssignment& base) const;
+  /// one canonical-form traversal; the endpoint-panel integration then
+  /// fans out over `pool` (nullptr = the process pool).  The result is
+  /// bit-identical for any lane count.
+  SstaResult analyze(const sta::VariantAssignment& base,
+                     ThreadPool* pool = nullptr) const;
 
   /// Scalar endpoint delays (arrival + setup / PO wire) of one concrete
   /// die, in the same endpoint order as SstaResult::endpoints -- the

@@ -77,6 +77,8 @@ class VariantAssignment {
   std::pair<int, int> get(netlist::CellId c) const { return variants_[c]; }
   std::size_t size() const { return variants_.size(); }
 
+  bool operator==(const VariantAssignment&) const = default;
+
  private:
   std::vector<std::pair<int, int>> variants_;
 };

@@ -105,6 +105,28 @@ TEST(Rng, NormalMomentsApproximatelyStandard) {
   EXPECT_NEAR(sq / n, 1.0, 0.02);
 }
 
+TEST(Rng, DiscardNormalsMatchesDrawing) {
+  // discard_normals(n) then k draws must equal n + k draws, from a fresh
+  // stream and from one holding a cached normal (an odd draw count).
+  constexpr int kAfter = 5;
+  for (const std::uint64_t n : {0, 1, 2, 3, 7, 1001}) {
+    for (const bool cached : {false, true}) {
+      Rng drawn(42), skipped(42);
+      if (cached) {
+        drawn.normal();
+        skipped.normal();
+      }
+      for (std::uint64_t i = 0; i < n; ++i) drawn.normal();
+      skipped.discard_normals(n);
+      for (int k = 0; k < kAfter; ++k)
+        EXPECT_EQ(skipped.normal(), drawn.normal())
+            << "n=" << n << " cached=" << cached << " k=" << k;
+      EXPECT_EQ(skipped.next_u64(), drawn.next_u64())
+          << "n=" << n << " cached=" << cached;
+    }
+  }
+}
+
 TEST(Rng, NormalScaled) {
   Rng rng(23);
   double sum = 0.0;

@@ -1,11 +1,14 @@
 // Integration tests for the core dose-map optimizer: the QP and QCP
 // formulations on a small generated design, equipment-constraint
-// feasibility, model consistency, and the grid-granularity trend.
+// feasibility, model consistency, the grid-granularity trend, and the
+// SSTA bookkeeping of the yield-target loop.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "dmopt/dmopt.h"
+#include "faultinject/fault.h"
 #include "flow/context.h"
+#include "ssta/ssta.h"
 
 namespace doseopt::dmopt {
 namespace {
@@ -132,6 +135,38 @@ TEST_F(DmoptSmall, VariantsMatchDoseMap) {
               liberty::dose_to_variant_index(r.poly_map.doses()[g]));
     EXPECT_EQ(r.variants.get(id).second, 10);  // active layer untouched
   }
+}
+
+TEST(DmoptYieldTarget, AnalyzesEachProbeOnce) {
+  // Every probe of the yield-target loop is steered on one SSTA analysis;
+  // the MC verification reuses the last probe's analytic yield when the
+  // finalized recipe snaps to the same variants, so the count is one per
+  // probe.  A never-firing arm on ssta.nan counts the analyses.
+  flow::DesignContext ctx(gen::aes65_spec().scaled(0.02));
+  DmoptOptions options;
+  options.grid_um = 10.0;
+  options.yield_target = 0.9;
+  DoseMapOptimizer opt(&ctx.netlist(), &ctx.placement(), &ctx.parasitics(),
+                       &ctx.repo(), &ctx.coefficients(false), &ctx.timer(),
+                       &ctx.nominal_timing(), options);
+  DmoptResult r;
+  std::uint64_t analyses = 0;
+  {
+    faultinject::ArmScope count("ssta.nan", "nth=1000000000");
+    r = opt.minimize_leakage();
+    analyses = count.point().hits();
+  }
+  EXPECT_EQ(analyses, static_cast<std::uint64_t>(r.bisection_probes));
+
+  // The reported analytic yield is exactly a fresh engine's analysis of
+  // the final variants.
+  const ssta::SstaTimer fresh(&ctx.timer(), &ctx.placement(),
+                              &ctx.coefficients(false),
+                              options.yield_variation);
+  const ssta::SstaResult sr = fresh.analyze(r.variants);
+  ASSERT_TRUE(sr.healthy);
+  EXPECT_EQ(r.ssta_yield, sr.yield_at(r.yield_tau_ns));
+  EXPECT_GE(r.mc_yield, options.yield_target);
 }
 
 }  // namespace

@@ -13,17 +13,22 @@
 //     like variation::YieldAnalyzer (the SSTA residual folds the matching
 //     quantization sigma);
 //   * bitwise determinism when many SstaTimers analyze concurrently at
-//     1/2/8 threads.
+//     1/2/8 threads, and of the pooled endpoint panel under 1/2/4-lane
+//     pools, pinned by checksum to the serial single-stream loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "flow/context.h"
 #include "liberty/coeff_fit.h"
 #include "liberty/repository.h"
@@ -487,6 +492,73 @@ TEST(SstaTimerTest, BitwiseDeterministicAcrossThreadCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " lane=" +
                    std::to_string(t));
       expect_same_result(ref, results[t]);
+    }
+  }
+}
+
+
+/// 64-bit FNV-1a over the raw bytes of a sample vector.
+std::uint64_t fnv1a(const std::vector<double>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double x : v) {
+    unsigned char bytes[sizeof x];
+    std::memcpy(bytes, &x, sizeof x);
+    for (const unsigned char byte : bytes) {
+      h ^= byte;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(SstaTimerTest, EndpointPanelBitIdenticalAcrossPools) {
+  // The panel runs in fixed chunks of antithetic pairs on a pool, each
+  // chunk starting from a stream state the serial skip pass recorded.  The
+  // checksums pin it to the single-stream serial loop it replaced (which
+  // produced exactly these samples), and every pool must reproduce them
+  // bit-for-bit.  1 sample is an odd count; 33 gives a partial last chunk.
+  flow::DesignContext ctx(gen::aes65_spec().scaled(0.02));
+  const liberty::CoefficientSet& coeffs = ctx.coefficients(false);
+  variation::VariationModel model;
+  sta::VariantAssignment base(ctx.netlist().cell_count());
+
+  struct Case {
+    int samples;
+    std::uint64_t checksum;
+  };
+  for (const Case c : {Case{1, 0x2EB54996F40D0064ULL},
+                       Case{33, 0xEBAE290D55B4A444ULL},
+                       Case{32768, 0x6C1BA5C454805549ULL}}) {
+    SCOPED_TRACE("yield_samples=" + std::to_string(c.samples));
+    SstaOptions opt;
+    opt.yield_samples = c.samples;
+    const SstaTimer engine(&ctx.timer(), &ctx.placement(), &coeffs, model,
+                           opt);
+    ThreadPool serial(1);
+    const SstaResult ref = engine.analyze(base, &serial);
+    ASSERT_TRUE(ref.healthy);
+    ASSERT_EQ(ref.mct_samples.size(),
+              2 * ((static_cast<std::size_t>(c.samples) + 1) / 2));
+    EXPECT_EQ(fnv1a(ref.mct_samples), c.checksum);
+
+    for (const int lanes : {2, 4}) {
+      SCOPED_TRACE("lanes=" + std::to_string(lanes));
+      ThreadPool pool(lanes);
+      const SstaResult r = engine.analyze(base, &pool);
+      ASSERT_TRUE(r.healthy);
+      ASSERT_EQ(r.mct_samples.size(), ref.mct_samples.size());
+      for (std::size_t i = 0; i < r.mct_samples.size(); ++i)
+        ASSERT_EQ(bits(r.mct_samples[i]), bits(ref.mct_samples[i]))
+            << "sample " << i;
+      EXPECT_EQ(bits(r.mean_mct_ns), bits(ref.mean_mct_ns));
+      EXPECT_EQ(bits(r.sigma_mct_ns), bits(ref.sigma_mct_ns));
+      for (const double p : {0.5, 0.9, 0.99}) {
+        EXPECT_EQ(bits(r.tau_at_yield(p)), bits(ref.tau_at_yield(p)));
+        EXPECT_EQ(bits(r.yield_at(ref.tau_at_yield(p))),
+                  bits(ref.yield_at(ref.tau_at_yield(p))));
+      }
     }
   }
 }
