@@ -16,32 +16,11 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -89,20 +68,6 @@ double Rng::normal() {
   cached_normal_ = r * sin_theta;
   has_cached_normal_ = true;
   return r * cos_theta;
-}
-
-void Rng::discard_normals(std::uint64_t n) {
-  if (n == 0) return;
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    --n;
-  }
-  for (std::uint64_t pair = 0; pair < n / 2; ++pair) {
-    // u1 (redrawn while it would be 0, as in normal()), then u2.
-    while ((next_u64() >> 11) == 0) continue;
-    next_u64();
-  }
-  if (n % 2 != 0) normal();
 }
 
 double Rng::normal(double mean, double stddev) {

@@ -6,7 +6,10 @@
 // SplitMix64, which has no pathological low-seed behavior.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace doseopt {
@@ -16,11 +19,24 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed);
 
-  /// Uniform 64-bit word.
-  std::uint64_t next_u64();
+  /// Uniform 64-bit word.  Inline: the samplers draw millions of words
+  /// per call and an out-of-line call costs more than the step itself.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): the 53 high bits of a word.
+  double uniform() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -33,14 +49,6 @@ class Rng {
 
   /// Standard normal variate (Box-Muller, cached pair).
   double normal();
-
-  /// Advance the stream exactly as `n` calls to normal() would (same
-  /// state, same cached-normal state afterwards) using integer steps only:
-  /// a pending cached normal is consumed first, each Box-Muller pair costs
-  /// its two words plus the u1 <= 0 retries, and an odd remainder draws its
-  /// last normal for real so the cache matches.  Lets a serial pass record
-  /// the start state of every chunk of a long draw sequence cheaply.
-  void discard_normals(std::uint64_t n);
 
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
@@ -69,5 +77,22 @@ class Rng {
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
+
+/// One pair of independent standard normals by Marsaglia's polar method:
+/// a uniform point of the unit disc (rejection-sampled from the square)
+/// scaled by sqrt(-2 ln q / q).  A log and a sqrt per pair, no trig, so it
+/// is the draw of the hot samplers (Monte-Carlo dies, the SSTA endpoint
+/// panel).  Reads only uniform(); Rng::normal()'s cached value is left
+/// alone.
+inline std::pair<double, double> polar_normal_pair(Rng& rng) {
+  double x, y, q;
+  do {
+    x = 2.0 * rng.uniform() - 1.0;
+    y = 2.0 * rng.uniform() - 1.0;
+    q = x * x + y * y;
+  } while (q >= 1.0 || q == 0.0);
+  const double f = std::sqrt(-2.0 * std::log(q) / q);
+  return {x * f, y * f};
+}
 
 }  // namespace doseopt

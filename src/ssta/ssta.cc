@@ -108,25 +108,16 @@ double support_cov(const std::vector<ResidualTerm>& x,
   return cov;
 }
 
-/// Antithetic pairs per parallel chunk of the endpoint panel.  A constant,
-/// never derived from the lane count: the chunk boundaries fix the stream
-/// start states, so every sample is the same for any pool.
+/// Antithetic pairs per parallel chunk of the endpoint panel, and pairs per
+/// block of its deviation kernel.  Constants, never derived from the lane
+/// count: chunk c always draws from the c-th stream, so every sample is the
+/// same for any pool.
 constexpr std::size_t kPanelChunkPairs = 256;
+constexpr std::size_t kPanelBlockPairs = 16;
+static_assert(kPanelChunkPairs % kPanelBlockPairs == 0);
 
-/// Deterministic antithetic sampling of max(0, max_i d_i) over the
-/// endpoint forms -- the yield-curve integrator behind yield_at().  The
-/// max of jointly-Gaussian arrivals is right-skewed, which a single
-/// moment-matched Gaussian MCT form cannot represent; re-sampling the
-/// FORMS (shared systematic sources + shared per-cell terms + independent
-/// remainders) costs no graph traversals and nails the skew.  Endpoints
-/// that cannot plausibly set the maximum (mean + 4.5 sigma below the
-/// critical endpoint's 4.5-sigma lower bound) are dropped.
-///
-/// The pairs read one Rng stream in order, each consuming the same number
-/// of normals.  A serial skip pass (Rng::discard_normals, integer steps
-/// only) records the stream state at every chunk start; the chunks then
-/// draw and fold in parallel, each into its own slots of the output, so
-/// every sample equals the one the single-stream serial loop draws.
+}  // namespace
+
 std::vector<double> sample_endpoint_panel(
     const std::vector<CanonicalForm>& endpoints, int samples,
     std::uint64_t seed, ThreadPool& pool) {
@@ -159,49 +150,64 @@ std::vector<double> sample_endpoint_panel(
   }
 
   const std::size_t pairs = (static_cast<std::size_t>(samples) + 1) / 2;
-  const std::size_t normals_per_pair = kSources + cells.size() + kept.size();
   const std::size_t chunks =
       (pairs + kPanelChunkPairs - 1) / kPanelChunkPairs;
-  std::vector<Rng> chunk_start;
-  chunk_start.reserve(chunks);
-  Rng rng(seed ^ 0x55AA33CC9F1E2D4BULL);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    chunk_start.push_back(rng);
-    if (c + 1 < chunks)
-      rng.discard_normals(kPanelChunkPairs * normals_per_pair);
-  }
+  // Chunk c's stream is seeded with the c-th word of the panel seed's
+  // stream -- a pure function of (seed, c).
+  std::vector<std::uint64_t> chunk_seed(chunks);
+  Rng seeder(seed ^ 0x55AA33CC9F1E2D4BULL);
+  for (std::uint64_t& cs : chunk_seed) cs = seeder.next_u64();
+
+  // Draw rows of one block: the kSources shared sources, then the tracked
+  // cells, then the kept endpoints' remainders, each row holding the draws
+  // of the block's kPanelBlockPairs pairs contiguously.
+  const std::size_t z_row = kSources;
+  const std::size_t r_row = z_row + cells.size();
+  const std::size_t rows = r_row + kept.size();
 
   out.resize(2 * pairs);
   pool.parallel_for(chunks, [&](std::size_t c) {
-    Rng stream = chunk_start[c];
-    std::array<double, kSources> x;
-    std::vector<double> z(cells.size());
-    std::vector<double> rdraw(kept.size());
+    constexpr std::size_t B = kPanelBlockPairs;
+    Rng stream(chunk_seed[c]);
+    std::vector<double> draws(rows * B);
     const std::size_t end = std::min(pairs, (c + 1) * kPanelChunkPairs);
-    for (std::size_t s = c * kPanelChunkPairs; s < end; ++s) {
-      for (double& v : x) v = stream.normal();
-      for (double& v : z) v = stream.normal();
-      for (double& v : rdraw) v = stream.normal();
+    for (std::size_t s0 = c * kPanelChunkPairs; s0 < end; s0 += B) {
+      // A whole block is drawn even when it overhangs the last pair, so
+      // the stream layout does not depend on the sample count.
+      for (std::size_t t = 0; t < draws.size(); t += 2) {
+        const auto [z0, z1] = polar_normal_pair(stream);
+        draws[t] = z0;
+        draws[t + 1] = z1;
+      }
       // One deviation per endpoint serves both antithetic signs; the
       // scalar MCT fold starts at 0.
-      double worst_hi = 0.0, worst_lo = 0.0;
+      std::array<double, B> worst_hi{}, worst_lo{}, dev{};
       for (std::size_t i = 0; i < kept.size(); ++i) {
         const CanonicalForm& ep = *kept[i];
-        double dev = ep.r * rdraw[i];
-        for (int k = 0; k < kSources; ++k) dev += ep.a[k] * x[k];
-        for (const auto& [zi, coef] : terms[i]) dev += coef * z[zi];
-        worst_hi = std::max(worst_hi, ep.mean + dev);
-        worst_lo = std::max(worst_lo, ep.mean - dev);
+        const double* rd = &draws[(r_row + i) * B];
+        for (std::size_t j = 0; j < B; ++j) dev[j] = ep.r * rd[j];
+        for (int k = 0; k < kSources; ++k) {
+          const double* xk = &draws[static_cast<std::size_t>(k) * B];
+          for (std::size_t j = 0; j < B; ++j) dev[j] += ep.a[k] * xk[j];
+        }
+        for (const auto& [zi, coef] : terms[i]) {
+          const double* zc = &draws[(z_row + zi) * B];
+          for (std::size_t j = 0; j < B; ++j) dev[j] += coef * zc[j];
+        }
+        for (std::size_t j = 0; j < B; ++j) {
+          worst_hi[j] = std::max(worst_hi[j], ep.mean + dev[j]);
+          worst_lo[j] = std::max(worst_lo[j], ep.mean - dev[j]);
+        }
       }
-      out[2 * s] = worst_hi;
-      out[2 * s + 1] = worst_lo;
+      for (std::size_t j = 0; j < B && s0 + j < end; ++j) {
+        out[2 * (s0 + j)] = worst_hi[j];
+        out[2 * (s0 + j) + 1] = worst_lo[j];
+      }
     }
   });
   std::sort(out.begin(), out.end());
   return out;
 }
-
-}  // namespace
 
 double normal_cdf(double z) {
   return 0.5 * std::erfc(-z * M_SQRT1_2);

@@ -18,7 +18,8 @@
 // keeps reconvergent and sibling paths correlated through the cells they
 // share -- with a single pooled residual the statistical max treats
 // overlapping paths as independent, which both inflates E[max] and cancels
-// the common variance (a ~2x sigma error on real netlists).  Forms prune
+// the common variance (pooled, the endpoint sigmas of test_ssta's
+// reconvergent netlists read ~27 % low against Monte-Carlo).  Forms prune
 // their support to the largest |c_i| terms (SstaOptions::
 // max_residual_terms), folding the dropped tail into R.
 //
@@ -159,6 +160,23 @@ struct SstaResult {
   /// Gaussian quantile when no samples were drawn).
   double tau_at_yield(double p) const;
 };
+
+/// Deterministic antithetic sampling of max(0, max_i d_i) over endpoint
+/// forms -- the yield-curve integrator behind SstaResult::yield_at().  The
+/// max of jointly-Gaussian arrivals is right-skewed, which a single
+/// moment-matched Gaussian MCT form cannot represent; re-sampling the FORMS
+/// (shared systematic sources + shared per-cell terms + independent
+/// remainders) costs no graph traversals and nails the skew.  Endpoints
+/// that cannot plausibly set the maximum (mean + 4.5 sigma below the
+/// critical endpoint's 4.5-sigma lower bound) are dropped.
+///
+/// Returns 2 * ceil(samples / 2) sorted samples (empty for samples <= 0 or
+/// no endpoints).  The pairs split into fixed chunks, each drawing polar
+/// normals from its own stream seeded from (seed, chunk index), and fan out
+/// over `pool`; the result is bit-identical for any lane count.
+std::vector<double> sample_endpoint_panel(
+    const std::vector<CanonicalForm>& endpoints, int samples,
+    std::uint64_t seed, ThreadPool& pool);
 
 /// The SSTA engine: bound to a Timer (whose CSR structure and scalar base
 /// analysis it shares), a placement (die coordinates -> basis arguments),

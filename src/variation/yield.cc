@@ -90,28 +90,10 @@ void YieldAnalyzer::sample_delta_l_into(
 
   // The per-cell random component draws one standard normal per cell, which
   // makes the draw the hot path of the whole Monte-Carlo loop (cell_count
-  // draws per die, both engines).  Marsaglia's polar method generates the
-  // same distribution from a log and a sqrt alone -- no trig -- and caches
-  // the pair like Rng::normal() does.
+  // draws per die, both engines): polar_normal_pair() generates them from
+  // a log and a sqrt alone, two cells per pair.
   const double sigma = model_.random_sigma_nm;
-  double cached = 0.0;
-  bool has_cached = false;
-  auto polar_normal = [&rng, &cached, &has_cached]() {
-    if (has_cached) {
-      has_cached = false;
-      return cached;
-    }
-    double x, y, q;
-    do {
-      x = 2.0 * rng.uniform() - 1.0;
-      y = 2.0 * rng.uniform() - 1.0;
-      q = x * x + y * y;
-    } while (q >= 1.0 || q == 0.0);
-    const double f = std::sqrt(-2.0 * std::log(q) / q);
-    cached = y * f;
-    has_cached = true;
-    return x * f;
-  };
+  std::pair<double, double> z;
 
   out.resize(nl_->cell_count());
   for (std::size_t ci = 0; ci < nl_->cell_count(); ++ci) {
@@ -122,7 +104,8 @@ void YieldAnalyzer::sample_delta_l_into(
         systematic_basis(u, v);
     double field = coef[0] * basis[0];
     for (int k = 1; k < kSystematicSources; ++k) field += coef[k] * basis[k];
-    out[ci] = scale * field + sigma * polar_normal();
+    if (ci % 2 == 0) z = polar_normal_pair(rng);
+    out[ci] = scale * field + sigma * (ci % 2 == 0 ? z.first : z.second);
   }
 }
 

@@ -1,6 +1,8 @@
 // Shared helpers for tests: tiny hand-built designs with known timing.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 #include "common/error.h"
@@ -10,6 +12,23 @@
 #include "place/placer.h"
 
 namespace doseopt::testing_support {
+
+/// 64-bit FNV-1a over the little-endian bytes of each value added: pins a
+/// stream of words or doubles to a recorded checksum.
+class Fnv1a {
+ public:
+  void add(std::uint64_t w) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (w >> (8 * b)) & 0xff;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
 
 /// A tiny fully-owned design: flop -> inv chain -> flop, placed on a small
 /// die.  Deterministic, used by netlist/STA/dmopt tests.

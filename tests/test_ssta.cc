@@ -12,9 +12,11 @@
 //     that snaps each sampled delta-L to the 1 nm variant grid, exactly
 //     like variation::YieldAnalyzer (the SSTA residual folds the matching
 //     quantization sigma);
+//   * the endpoint panel's quantiles of a single Gaussian form against
+//     mean + sigma * Phi^-1(p), within sampling error;
 //   * bitwise determinism when many SstaTimers analyze concurrently at
 //     1/2/8 threads, and of the pooled endpoint panel under 1/2/4-lane
-//     pools, pinned by checksum to the serial single-stream loop.
+//     pools, pinned by checksum.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +24,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <thread>
 #include <vector>
@@ -243,6 +244,39 @@ TEST(YieldCurveTest, YieldMonotonicAndRoundTrips) {
   EXPECT_EQ(det.yield_at(1.999), 0.0);
   EXPECT_EQ(det.yield_at(2.0), 1.0);
   EXPECT_EQ(det.tau_at_yield(0.9), 2.0);
+}
+
+TEST(YieldCurveTest, PanelQuantilesOfOneGaussianForm) {
+  // One endpoint with mean >> sigma: max(0, d) = d ~ N(mean, sigma^2), so
+  // the panel's p-quantile must sit within sampling error of
+  // mean + sigma * Phi^-1(p).  The standard error of an iid sample
+  // quantile, sqrt(p (1 - p) / n) / phi(z_p) * sigma, bounds the antithetic
+  // panel's (whose symmetric sample only adds information); 4 of them.
+  CanonicalForm ep = make_form(10.0, {0.02, -0.01, 0.015, 0.0, -0.02}, 0.03);
+  ep.rc = {ResidualTerm{5, 0.01}, ResidualTerm{9, -0.025},
+           ResidualTerm{200, 0.02}};
+  double var = ep.r * ep.r;
+  for (const double ak : ep.a) var += ak * ak;
+  for (const ResidualTerm& t : ep.rc) var += t.coef * t.coef;
+  const double sigma = std::sqrt(var);
+
+  constexpr int kSamples = 65536;
+  ThreadPool pool(2);
+  SstaResult sr;
+  sr.mct_samples = sample_endpoint_panel({ep}, kSamples, 7, pool);
+  ASSERT_EQ(sr.mct_samples.size(), static_cast<std::size_t>(kSamples));
+  ASSERT_TRUE(std::is_sorted(sr.mct_samples.begin(), sr.mct_samples.end()));
+
+  struct Point {
+    double p, z;  // z = Phi^-1(p)
+  };
+  for (const Point q : {Point{0.5, 0.0}, Point{0.9, 1.2815515655446004},
+                        Point{0.99, 2.3263478740408408}}) {
+    const double phi = std::exp(-0.5 * q.z * q.z) / std::sqrt(2.0 * M_PI);
+    const double se = std::sqrt(q.p * (1.0 - q.p) / kSamples) / phi * sigma;
+    EXPECT_NEAR(sr.tau_at_yield(q.p), ep.mean + sigma * q.z, 4.0 * se)
+        << "p = " << q.p;
+  }
 }
 
 // --- exact agreement with the scalar Timer at zero sensitivity -------------
@@ -497,28 +531,13 @@ TEST(SstaTimerTest, BitwiseDeterministicAcrossThreadCounts) {
 }
 
 
-/// 64-bit FNV-1a over the raw bytes of a sample vector.
-std::uint64_t fnv1a(const std::vector<double>& v) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const double x : v) {
-    unsigned char bytes[sizeof x];
-    std::memcpy(bytes, &x, sizeof x);
-    for (const unsigned char byte : bytes) {
-      h ^= byte;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
-}
-
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 TEST(SstaTimerTest, EndpointPanelBitIdenticalAcrossPools) {
   // The panel runs in fixed chunks of antithetic pairs on a pool, each
-  // chunk starting from a stream state the serial skip pass recorded.  The
-  // checksums pin it to the single-stream serial loop it replaced (which
-  // produced exactly these samples), and every pool must reproduce them
-  // bit-for-bit.  1 sample is an odd count; 33 gives a partial last chunk.
+  // chunk drawing from its own stream seeded from (seed, chunk index).  The
+  // checksums pin the samples, and every pool must reproduce them
+  // bit-for-bit.  1 sample is an odd count; 33 gives a partial last block.
   flow::DesignContext ctx(gen::aes65_spec().scaled(0.02));
   const liberty::CoefficientSet& coeffs = ctx.coefficients(false);
   variation::VariationModel model;
@@ -528,9 +547,9 @@ TEST(SstaTimerTest, EndpointPanelBitIdenticalAcrossPools) {
     int samples;
     std::uint64_t checksum;
   };
-  for (const Case c : {Case{1, 0x2EB54996F40D0064ULL},
-                       Case{33, 0xEBAE290D55B4A444ULL},
-                       Case{32768, 0x6C1BA5C454805549ULL}}) {
+  for (const Case c : {Case{1, 0x668E02CA63FF0142ULL},
+                       Case{33, 0x2416E76FB205A743ULL},
+                       Case{32768, 0x1A2DA8E53995DE1AULL}}) {
     SCOPED_TRACE("yield_samples=" + std::to_string(c.samples));
     SstaOptions opt;
     opt.yield_samples = c.samples;
@@ -541,7 +560,9 @@ TEST(SstaTimerTest, EndpointPanelBitIdenticalAcrossPools) {
     ASSERT_TRUE(ref.healthy);
     ASSERT_EQ(ref.mct_samples.size(),
               2 * ((static_cast<std::size_t>(c.samples) + 1) / 2));
-    EXPECT_EQ(fnv1a(ref.mct_samples), c.checksum);
+    testing_support::Fnv1a h;
+    for (const double x : ref.mct_samples) h.add(x);
+    EXPECT_EQ(h.value(), c.checksum);
 
     for (const int lanes : {2, 4}) {
       SCOPED_TRACE("lanes=" + std::to_string(lanes));
