@@ -37,7 +37,7 @@ struct ThreadPool::Impl {
   int working = 0;  ///< workers still draining the current job
 
   // Current job (valid while working > 0 or the caller is in the loop).
-  const std::function<void(int, std::size_t)>* fn = nullptr;
+  const FunctionRef<void(int, std::size_t)>* fn = nullptr;
   std::size_t n = 0;
   std::size_t chunk = 1;
   std::atomic<std::size_t> cursor{0};
@@ -106,8 +106,8 @@ ThreadPool::~ThreadPool() {
   delete impl_;
 }
 
-void ThreadPool::parallel_for_lane(
-    std::size_t n, const std::function<void(int, std::size_t)>& fn) {
+void ThreadPool::parallel_for_lane(std::size_t n,
+                                   FunctionRef<void(int, std::size_t)> fn) {
   if (n == 0) return;
   // Serial paths: no workers, a tiny loop, a nested call from inside a
   // pool task (fanning out again could deadlock on this very pool), or
@@ -150,8 +150,8 @@ void ThreadPool::parallel_for_lane(
 }
 
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_for_lane(n, [&fn](int, std::size_t i) { fn(i); });
+                              FunctionRef<void(std::size_t)> fn) {
+  parallel_for_lane(n, [fn](int, std::size_t i) { fn(i); });
 }
 
 bool ThreadPool::in_parallel_region() { return tl_in_parallel; }

@@ -20,7 +20,8 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+
+#include "common/function_ref.h"
 
 namespace doseopt {
 
@@ -40,8 +41,9 @@ class ThreadPool {
 
   /// Run fn(i) for i in [0, n).  Blocks until all iterations finish; the
   /// first exception thrown by any iteration is rethrown here (remaining
-  /// chunks are abandoned).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// chunks are abandoned).  `fn` is taken by non-owning reference, so a
+  /// fan-out allocates nothing.
+  void parallel_for(std::size_t n, FunctionRef<void(std::size_t)> fn);
 
   /// Run fn(lane, i) for i in [0, n), where `lane` in [0, lane_count()) is
   /// stable for the duration of the call -- use it to index per-lane
@@ -50,7 +52,7 @@ class ThreadPool {
   /// the *inner* loop, which is safe because nested loops own their own
   /// per-lane state.
   void parallel_for_lane(std::size_t n,
-                         const std::function<void(int, std::size_t)>& fn);
+                         FunctionRef<void(int, std::size_t)> fn);
 
   /// True when the current thread is already executing a pool task (from
   /// any pool); nested parallel loops detect this and run inline.

@@ -8,6 +8,10 @@
 
 namespace doseopt::la {
 
+bool use_pool(std::size_t flops, const ThreadPool& pool) {
+  return flops >= kParallelMinFlops && pool.lane_count() > 1;
+}
+
 double dot(const Vec& a, const Vec& b) {
   DOSEOPT_CHECK(a.size() == b.size(), "dot: size mismatch");
   double s = 0.0;
@@ -53,14 +57,13 @@ namespace {
 // accumulated per chunk and combined in chunk order, so it must not depend
 // on the thread count.
 constexpr std::size_t kChunk = 2048;
-// Below this size the parallel_for dispatch costs more than the sweep.
-constexpr std::size_t kParallelMin = 4 * kChunk;
 
-/// Runs kernel(chunk_index, begin, end) for every fixed-size chunk of
-/// [0, n), each chunk writing only its own partial slot, then returns the
-/// serial in-order sum of the partials.
+/// Runs kernel(begin, end) for every fixed-size chunk of [0, n), each chunk
+/// writing only its own partial slot, then returns the serial in-order sum
+/// of the partials.  `flops_per_elem` sizes the call for use_pool.
 template <typename Kernel>
-double chunked_reduce(std::size_t n, ThreadPool* pool, const Kernel& kernel) {
+double chunked_reduce(std::size_t n, std::size_t flops_per_elem,
+                      ThreadPool* pool, const Kernel& kernel) {
   const std::size_t chunks = (n + kChunk - 1) / kChunk;
   if (chunks <= 1) return n == 0 ? 0.0 : kernel(0, n);
 
@@ -70,7 +73,7 @@ double chunked_reduce(std::size_t n, ThreadPool* pool, const Kernel& kernel) {
     partial[c] = kernel(lo, std::min(lo + kChunk, n));
   };
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
-  if (n >= kParallelMin && tp.lane_count() > 1) {
+  if (use_pool(n * flops_per_elem, tp)) {
     tp.parallel_for(chunks, chunk_task);
   } else {
     for (std::size_t c = 0; c < chunks; ++c) chunk_task(c);
@@ -83,7 +86,8 @@ double chunked_reduce(std::size_t n, ThreadPool* pool, const Kernel& kernel) {
 /// Element-wise sweep with the same chunking/dispatch policy (no reduction,
 /// so chunking only bounds the task granularity).
 template <typename Kernel>
-void chunked_sweep(std::size_t n, ThreadPool* pool, const Kernel& kernel) {
+void chunked_sweep(std::size_t n, std::size_t flops_per_elem,
+                   ThreadPool* pool, const Kernel& kernel) {
   const std::size_t chunks = (n + kChunk - 1) / kChunk;
   if (chunks <= 1) {
     if (n > 0) kernel(0, n);
@@ -94,7 +98,7 @@ void chunked_sweep(std::size_t n, ThreadPool* pool, const Kernel& kernel) {
     kernel(lo, std::min(lo + kChunk, n));
   };
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
-  if (n >= kParallelMin && tp.lane_count() > 1) {
+  if (use_pool(n * flops_per_elem, tp)) {
     tp.parallel_for(chunks, chunk_task);
   } else {
     for (std::size_t c = 0; c < chunks; ++c) chunk_task(c);
@@ -105,7 +109,7 @@ void chunked_sweep(std::size_t n, ThreadPool* pool, const Kernel& kernel) {
 
 double fused_dot(const Vec& a, const Vec& b, ThreadPool* pool) {
   DOSEOPT_CHECK(a.size() == b.size(), "fused_dot: size mismatch");
-  return chunked_reduce(a.size(), pool,
+  return chunked_reduce(a.size(), 2, pool,
                         [&](std::size_t lo, std::size_t hi) {
                           double s = 0.0;
                           for (std::size_t i = lo; i < hi; ++i)
@@ -117,7 +121,7 @@ double fused_dot(const Vec& a, const Vec& b, ThreadPool* pool) {
 double fused_residual(const Vec& b, const Vec& ax, Vec& r, ThreadPool* pool) {
   DOSEOPT_CHECK(b.size() == ax.size() && b.size() == r.size(),
                 "fused_residual: size mismatch");
-  return chunked_reduce(b.size(), pool,
+  return chunked_reduce(b.size(), 3, pool,
                         [&](std::size_t lo, std::size_t hi) {
                           double s = 0.0;
                           for (std::size_t i = lo; i < hi; ++i) {
@@ -134,7 +138,7 @@ double fused_cg_update(double alpha, const Vec& p, const Vec& ap, Vec& x,
   DOSEOPT_CHECK(p.size() == x.size() && ap.size() == r.size() &&
                     p.size() == r.size(),
                 "fused_cg_update: size mismatch");
-  return chunked_reduce(p.size(), pool,
+  return chunked_reduce(p.size(), 6, pool,
                         [&](std::size_t lo, std::size_t hi) {
                           double s = 0.0;
                           for (std::size_t i = lo; i < hi; ++i) {
@@ -151,7 +155,7 @@ double fused_precond_dot(const Vec& r, const Vec& diag, Vec& z,
                          ThreadPool* pool) {
   DOSEOPT_CHECK(r.size() == diag.size() && r.size() == z.size(),
                 "fused_precond_dot: size mismatch");
-  return chunked_reduce(r.size(), pool,
+  return chunked_reduce(r.size(), 3, pool,
                         [&](std::size_t lo, std::size_t hi) {
                           double s = 0.0;
                           for (std::size_t i = lo; i < hi; ++i) {
@@ -166,7 +170,7 @@ double fused_precond_dot(const Vec& r, const Vec& diag, Vec& z,
 
 void fused_xpby(const Vec& z, double beta, Vec& p, ThreadPool* pool) {
   DOSEOPT_CHECK(z.size() == p.size(), "fused_xpby: size mismatch");
-  chunked_sweep(z.size(), pool, [&](std::size_t lo, std::size_t hi) {
+  chunked_sweep(z.size(), 2, pool, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) p[i] = z[i] + beta * p[i];
   });
 }

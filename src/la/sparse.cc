@@ -8,19 +8,6 @@
 
 namespace doseopt::la {
 
-namespace {
-// Below these sizes the fan-out overhead dominates; the products run
-// serially (which is also what every thread count degenerates to, so the
-// threshold cannot affect results).
-constexpr std::size_t kParallelDim = 512;
-constexpr std::size_t kParallelNnz = 16384;
-
-inline bool use_pool(std::size_t dim, std::size_t nnz) {
-  return dim >= kParallelDim && nnz >= kParallelNnz &&
-         ThreadPool::global().lane_count() > 1;
-}
-}  // namespace
-
 void TripletMatrix::add(std::size_t r, std::size_t c, double v) {
   DOSEOPT_CHECK(r < rows_ && c < cols_, "TripletMatrix::add: out of bounds");
   row_.push_back(r);
@@ -99,8 +86,9 @@ void CsrMatrix::build_transpose() {
   }
 }
 
-void CsrMatrix::multiply(const Vec& x, Vec& y) const {
+void CsrMatrix::multiply(const Vec& x, Vec& y, ThreadPool* pool) const {
   DOSEOPT_CHECK(x.size() == cols_, "multiply: x size mismatch");
+  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
   y.assign(rows_, 0.0);
   auto row_kernel = [&](std::size_t r) {
     double s = 0.0;
@@ -108,15 +96,17 @@ void CsrMatrix::multiply(const Vec& x, Vec& y) const {
       s += val_[k] * x[col_idx_[k]];
     y[r] = s;
   };
-  if (use_pool(rows_, val_.size())) {
-    ThreadPool::global().parallel_for(rows_, row_kernel);
+  if (use_pool(2 * val_.size(), tp)) {
+    tp.parallel_for(rows_, row_kernel);
   } else {
     for (std::size_t r = 0; r < rows_; ++r) row_kernel(r);
   }
 }
 
-void CsrMatrix::multiply_transpose(const Vec& x, Vec& y) const {
+void CsrMatrix::multiply_transpose(const Vec& x, Vec& y,
+                                   ThreadPool* pool) const {
   DOSEOPT_CHECK(x.size() == rows_, "multiply_transpose: x size mismatch");
+  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
   y.assign(cols_, 0.0);
   auto col_kernel = [&](std::size_t c) {
     double s = 0.0;
@@ -124,37 +114,59 @@ void CsrMatrix::multiply_transpose(const Vec& x, Vec& y) const {
       s += tr_val_[k] * x[tr_row_[k]];
     y[c] = s;
   };
-  if (use_pool(cols_, val_.size())) {
-    ThreadPool::global().parallel_for(cols_, col_kernel);
+  if (use_pool(2 * val_.size(), tp)) {
+    tp.parallel_for(cols_, col_kernel);
   } else {
     for (std::size_t c = 0; c < cols_; ++c) col_kernel(c);
   }
 }
 
-void CsrMatrix::add_gram_product(double alpha, const Vec& x, Vec& y,
-                                 Vec& scratch) const {
-  DOSEOPT_CHECK(y.size() == cols_, "add_gram_product: y size mismatch");
-  multiply(x, scratch);
-  auto col_kernel = [&](std::size_t c) {
-    double s = y[c];
-    for (std::size_t k = tr_ptr_[c]; k < tr_ptr_[c + 1]; ++k)
-      s += tr_val_[k] * (alpha * scratch[tr_row_[k]]);
-    y[c] = s;
-  };
-  if (use_pool(cols_, val_.size())) {
-    ThreadPool::global().parallel_for(cols_, col_kernel);
-  } else {
-    for (std::size_t c = 0; c < cols_; ++c) col_kernel(c);
-  }
-}
-
-Vec CsrMatrix::gram_diagonal() const {
-  Vec d(cols_, 0.0);
+CsrMatrix CsrMatrix::gram() const {
+  // Row c of G = sum over the rows r holding column c of A[r][c] * A[r][:],
+  // gathered through the transpose index (rows ascending) into a dense
+  // accumulator; the touched columns are then sorted.  Entry (c, c) adds
+  // the squares in the same order as a per-column sum of squares.
+  CsrMatrix g;
+  g.rows_ = cols_;
+  g.cols_ = cols_;
+  g.row_ptr_.assign(cols_ + 1, 0);
+  Vec acc(cols_, 0.0);
+  std::vector<unsigned char> touched(cols_, 0);
+  std::vector<std::uint32_t> pattern;
   for (std::size_t c = 0; c < cols_; ++c) {
-    double s = 0.0;
-    for (std::size_t k = tr_ptr_[c]; k < tr_ptr_[c + 1]; ++k)
-      s += tr_val_[k] * tr_val_[k];
-    d[c] = s;
+    pattern.clear();
+    for (std::size_t t = tr_ptr_[c]; t < tr_ptr_[c + 1]; ++t) {
+      const std::size_t r = tr_row_[t];
+      const double a = tr_val_[t];
+      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+        const std::uint32_t j = col_idx_[k];
+        if (!touched[j]) {
+          touched[j] = 1;
+          pattern.push_back(j);
+        }
+        acc[j] += a * val_[k];
+      }
+    }
+    std::sort(pattern.begin(), pattern.end());
+    for (const std::uint32_t j : pattern) {
+      g.col_idx_.push_back(j);
+      g.val_.push_back(acc[j]);
+      acc[j] = 0.0;
+      touched[j] = 0;
+    }
+    g.row_ptr_[c + 1] = g.val_.size();
+  }
+  g.build_transpose();
+  return g;
+}
+
+Vec CsrMatrix::diagonal() const {
+  Vec d(std::min(rows_, cols_), 0.0);
+  for (std::size_t r = 0; r < d.size(); ++r) {
+    const auto first = col_idx_.begin() + row_ptr_[r];
+    const auto last = col_idx_.begin() + row_ptr_[r + 1];
+    const auto it = std::lower_bound(first, last, r);
+    if (it != last && *it == r) d[r] = val_[it - col_idx_.begin()];
   }
   return d;
 }

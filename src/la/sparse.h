@@ -1,13 +1,16 @@
 // Sparse matrix support: triplet assembly and compressed-sparse-row storage
-// with the matrix-vector products the ADMM QP solver needs (A*x, A^T*y, and
-// the Gram diagonal of A^T*A for preconditioning).
+// with the products the ADMM QP solver needs: A*x, A^T*y, and the Gram
+// matrix G = A^T A, built once per scaled constraint matrix so each inner
+// CG step of the x-update is one SpMV with G instead of A followed by A^T
+// (G has fewer nonzeros than 2*nnz(A) on every dose-map QP; diag(G) is the
+// Jacobi preconditioner).
 //
 // Construction also builds the transpose (CSC-style) index so the A^T
 // products run as per-column *gathers* instead of per-row scatters: every
 // output element is owned by exactly one loop index, which lets all of the
-// products fan out over the process thread pool with bit-identical results
-// at any thread count (the per-element accumulation order is fixed by the
-// index, not by thread timing).
+// products fan out over the thread pool with bit-identical results at any
+// thread count (the per-element accumulation order is fixed by the index,
+// not by thread timing).  A product fans out only above kParallelMinFlops.
 #pragma once
 
 #include <cstdint>
@@ -60,18 +63,22 @@ class CsrMatrix {
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return val_.size(); }
 
-  /// y = A x.
-  void multiply(const Vec& x, Vec& y) const;
+  /// y = A x.  `pool` selects the thread pool (nullptr = process pool).
+  void multiply(const Vec& x, Vec& y, ThreadPool* pool = nullptr) const;
 
   /// y = A^T x.
-  void multiply_transpose(const Vec& x, Vec& y) const;
+  void multiply_transpose(const Vec& x, Vec& y,
+                          ThreadPool* pool = nullptr) const;
 
-  /// y += alpha * A^T (A x); scratch must have size rows().
-  void add_gram_product(double alpha, const Vec& x, Vec& y,
-                        Vec& scratch) const;
+  /// The Gram matrix A^T A (cols() x cols(), symmetric, columns sorted
+  /// within each row).  Built serially; every entry sums its products in
+  /// ascending row order of A, so diag(G)_c is bit-equal to the column sum
+  /// of squares sum_r A[r][c]^2 taken in row order.  The structure is every
+  /// (i, j) that share a row of A, explicit zeros included.
+  CsrMatrix gram() const;
 
-  /// diag(A^T A): column-wise sum of squared entries.
-  Vec gram_diagonal() const;
+  /// Main diagonal (min(rows, cols) entries; absent entries read 0).
+  Vec diagonal() const;
 
   /// The matrix with row r scaled by row_scale[r] and column c by
   /// col_scale[c] (entry v -> v * row_scale[r] * col_scale[c]) -- the Ruiz

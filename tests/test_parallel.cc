@@ -230,60 +230,66 @@ TEST(Determinism, YieldAnalysisBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, FusedCgKernelsBitIdenticalAcrossThreadCounts) {
-  // Large enough that the chunked reductions genuinely fan out (the
-  // dispatch threshold is 4 chunks of 2048); the fixed-chunk partials must
-  // make every kernel return the same doubles at 1, 2, and 8 lanes.
-  constexpr std::size_t kN = 50000;
-  Rng rng(20260807);
-  la::Vec a(kN), b(kN), diag(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    a[i] = rng.uniform(-2, 2);
-    b[i] = rng.uniform(-2, 2);
-    diag[i] = rng.uniform(0.5, 2.0);
-  }
-
-  ThreadPool p1(1), p2(2), p8(8);
-  ThreadPool* pools[] = {&p1, &p2, &p8};
-
-  double dots[3], rrs[3], rzs[3], upds[3];
-  la::Vec rs[3], zs[3], xs[3], ps[3];
-  for (int k = 0; k < 3; ++k) {
-    ThreadPool* pool = pools[k];
-    rs[k].assign(kN, 0.0);
-    zs[k].assign(kN, 0.0);
-    xs[k] = a;
-    ps[k] = b;
-    dots[k] = la::fused_dot(a, b, pool);
-    rrs[k] = la::fused_residual(b, a, rs[k], pool);
-    rzs[k] = la::fused_precond_dot(rs[k], diag, zs[k], pool);
-    upds[k] = la::fused_cg_update(0.37, b, zs[k], xs[k], rs[k], pool);
-    la::fused_xpby(zs[k], -1.25, ps[k], pool);
-  }
-  for (int k = 1; k < 3; ++k) {
-    EXPECT_EQ(dots[0], dots[k]);
-    EXPECT_EQ(rrs[0], rrs[k]);
-    EXPECT_EQ(rzs[0], rzs[k]);
-    EXPECT_EQ(upds[0], upds[k]);
+  // Several chunks of 2048.  At 50000 elements only fused_cg_update (6
+  // flops per element) crosses la::kParallelMinFlops and fans out, the
+  // others run the same chunks serially; at kParallelMinFlops elements
+  // every kernel fans out.
+  // The fixed-chunk partials must make every kernel return the same
+  // doubles at 1, 2, and 8 lanes.
+  for (const std::size_t kN : {std::size_t{50000}, la::kParallelMinFlops}) {
+    Rng rng(20260807);
+    la::Vec a(kN), b(kN), diag(kN);
     for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(rs[0][i], rs[k][i]) << i;
-      ASSERT_EQ(zs[0][i], zs[k][i]) << i;
-      ASSERT_EQ(xs[0][i], xs[k][i]) << i;
-      ASSERT_EQ(ps[0][i], ps[k][i]) << i;
+      a[i] = rng.uniform(-2, 2);
+      b[i] = rng.uniform(-2, 2);
+      diag[i] = rng.uniform(0.5, 2.0);
+    }
+
+    ThreadPool p1(1), p2(2), p8(8);
+    ThreadPool* pools[] = {&p1, &p2, &p8};
+
+    double dots[3], rrs[3], rzs[3], upds[3];
+    la::Vec rs[3], zs[3], xs[3], ps[3];
+    for (int k = 0; k < 3; ++k) {
+      ThreadPool* pool = pools[k];
+      rs[k].assign(kN, 0.0);
+      zs[k].assign(kN, 0.0);
+      xs[k] = a;
+      ps[k] = b;
+      dots[k] = la::fused_dot(a, b, pool);
+      rrs[k] = la::fused_residual(b, a, rs[k], pool);
+      rzs[k] = la::fused_precond_dot(rs[k], diag, zs[k], pool);
+      upds[k] = la::fused_cg_update(0.37, b, zs[k], xs[k], rs[k], pool);
+      la::fused_xpby(zs[k], -1.25, ps[k], pool);
+    }
+    for (int k = 1; k < 3; ++k) {
+      EXPECT_EQ(dots[0], dots[k]);
+      EXPECT_EQ(rrs[0], rrs[k]);
+      EXPECT_EQ(rzs[0], rzs[k]);
+      EXPECT_EQ(upds[0], upds[k]);
+      for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(rs[0][i], rs[k][i]) << i;
+        ASSERT_EQ(zs[0][i], zs[k][i]) << i;
+        ASSERT_EQ(xs[0][i], xs[k][i]) << i;
+        ASSERT_EQ(ps[0][i], ps[k][i]) << i;
+      }
     }
   }
 }
 
 TEST(Determinism, CgSolveBitIdenticalAcrossThreadCounts) {
   // Full preconditioned CG on a large SPD Gram system, pool passed through
-  // CgOptions so the fused inner loop runs at each lane count.
+  // CgOptions and to the Gram SpMV so the whole inner loop runs at each
+  // lane count.
   constexpr std::size_t kN = 20000;
   Rng rng(97);
   la::TripletMatrix t(2 * kN, kN);
   for (std::size_t k = 0; k < 8 * kN; ++k)
     t.add(rng.uniform_index(2 * kN), rng.uniform_index(kN),
           rng.uniform(-1.0, 1.0));
-  const la::CsrMatrix b_mat(t);
-  la::Vec diag = b_mat.gram_diagonal();
+  const la::CsrMatrix gram = la::CsrMatrix(t).gram();
+  ASSERT_GE(2 * gram.nnz(), la::kParallelMinFlops);  // the SpMV fans out
+  la::Vec diag = gram.diagonal();
   for (auto& d : diag) d += 1.0;
   la::Vec rhs(kN);
   for (auto& v : rhs) v = rng.uniform(-1, 1);
@@ -293,10 +299,9 @@ TEST(Determinism, CgSolveBitIdenticalAcrossThreadCounts) {
   la::CgResult results[3];
   la::Vec xs[3];
   for (int k = 0; k < 3; ++k) {
-    la::Vec scratch(2 * kN);
     auto op = [&](const la::Vec& v, la::Vec& out) {
-      out = v;
-      b_mat.add_gram_product(1.0, v, out, scratch);
+      gram.multiply(v, out, pools[k]);
+      for (std::size_t i = 0; i < kN; ++i) out[i] += v[i];
     };
     xs[k].assign(kN, 0.0);
     la::CgOptions opts;
@@ -398,7 +403,8 @@ la::Vec reference_multiply_transpose(const la::CsrMatrix& a, const la::Vec& x) {
 }
 
 TEST(CsrMatrix, TransposeGatherMatchesSerialReference) {
-  // Small (serial path) and large (above the parallel thresholds).
+  // Small and mid-sized; the products fan out only above
+  // la::kParallelMinFlops (see GramProductBitIdenticalAcrossThreadCounts).
   for (const auto& [rows, cols, per_row] :
        {std::tuple<std::size_t, std::size_t, std::size_t>{40, 23, 4},
         std::tuple<std::size_t, std::size_t, std::size_t>{1500, 700, 16}}) {
@@ -413,35 +419,62 @@ TEST(CsrMatrix, TransposeGatherMatchesSerialReference) {
     ASSERT_EQ(y.size(), ref.size());
     for (std::size_t c = 0; c < cols; ++c) EXPECT_EQ(y[c], ref[c]) << c;
 
-    // gram_diagonal: column sums of squares in the same order.
+    // diag(A'A): column sums of squares in the same order.
     la::Vec gd_ref(cols, 0.0);
     for (std::size_t r = 0; r < rows; ++r)
       for (std::size_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k)
         gd_ref[a.col_idx()[k]] += a.values()[k] * a.values()[k];
-    const la::Vec gd = a.gram_diagonal();
+    const la::Vec gd = a.gram().diagonal();
     for (std::size_t c = 0; c < cols; ++c)
       EXPECT_NEAR(gd[c], gd_ref[c], 1e-12 * (1.0 + std::abs(gd_ref[c]))) << c;
   }
 }
 
-TEST(CsrMatrix, AddGramProductMatchesComposition) {
+TEST(CsrMatrix, GramProductMatchesComposition) {
   const la::CsrMatrix a(random_triplets(600, 512, 40, 31));
   Rng rng(17);
   la::Vec x(a.cols());
   for (auto& v : x) v = rng.uniform(-1.0, 1.0);
 
-  la::Vec y(a.cols(), 0.25), scratch(a.rows(), 0.0);
-  a.add_gram_product(1.7, x, y, scratch);
+  la::Vec gx;
+  a.gram().multiply(x, gx);
 
-  // Reference: scratch = A x, y += tr gather of (1.7 * scratch).
+  // Reference: A'(A x) as a row-order scatter.
   la::Vec ax;
   a.multiply(x, ax);
-  la::Vec y_ref(a.cols(), 0.25);
+  la::Vec ref(a.cols(), 0.0);
   for (std::size_t r = 0; r < a.rows(); ++r)
     for (std::size_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k)
-      y_ref[a.col_idx()[k]] += a.values()[k] * (1.7 * ax[r]);
+      ref[a.col_idx()[k]] += a.values()[k] * ax[r];
   for (std::size_t c = 0; c < a.cols(); ++c)
-    EXPECT_NEAR(y[c], y_ref[c], 1e-12 * (1.0 + std::abs(y_ref[c]))) << c;
+    EXPECT_NEAR(gx[c], ref[c], 1e-12 * (1.0 + std::abs(ref[c]))) << c;
+}
+
+TEST(CsrMatrix, GramProductBitIdenticalAcrossThreadCounts) {
+  // Large enough that gram(), A x and A'y all fan out; every product must
+  // return the same doubles at 1, 2 and 8 lanes.
+  const la::CsrMatrix a(random_triplets(20000, 4000, 8, 43));
+  const la::CsrMatrix g = a.gram();
+  ASSERT_GE(2 * a.nnz(), la::kParallelMinFlops);
+  ASSERT_GE(2 * g.nnz(), la::kParallelMinFlops);
+  Rng rng(23);
+  la::Vec x(a.cols()), y(a.rows());
+  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
+  for (auto& v : y) v = rng.uniform(-1.0, 1.0);
+
+  ThreadPool p1(1), p2(2), p8(8);
+  la::Vec gx[3], ax[3], aty[3];
+  ThreadPool* pools[] = {&p1, &p2, &p8};
+  for (int k = 0; k < 3; ++k) {
+    g.multiply(x, gx[k], pools[k]);
+    a.multiply(x, ax[k], pools[k]);
+    a.multiply_transpose(y, aty[k], pools[k]);
+  }
+  for (int k = 1; k < 3; ++k) {
+    EXPECT_EQ(gx[0], gx[k]);
+    EXPECT_EQ(ax[0], ax[k]);
+    EXPECT_EQ(aty[0], aty[k]);
+  }
 }
 
 TEST(CsrMatrix, ScaledMatchesTripletRebuild) {
