@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical kernels:
 // library characterization, full STA, incremental STA, top-K path
-// enumeration, QP solves, parasitic extraction, and the complete DMopt QP
-// on a small design.
+// enumeration, the polar normal sampler, QP solves, parasitic extraction,
+// and the complete DMopt QP on a small design.
 //
 // Besides the google-benchmark console output, main() hand-times the four
 // kernels the perf trajectory is tracked on -- full STA, incremental STA
@@ -104,6 +104,23 @@ void BM_TopPaths(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopPaths)->Arg(100)->Arg(1000)->Arg(10000);
+
+// One die's per-cell normals at full AES-65 scale: 5480 polar pairs per
+// call, the Monte-Carlo sampler's block size.
+void BM_PolarNormals(benchmark::State& state) {
+  constexpr std::size_t kPairs = 5480;
+  Rng rng(5480);
+  PolarSampler sampler;
+  std::vector<double> z(2 * kPairs);
+  for (auto _ : state) {
+    sampler.draw(rng, kPairs, z.data());
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * kPairs));
+}
+BENCHMARK(BM_PolarNormals);
 
 void BM_Extract(benchmark::State& state) {
   flow::DesignContext& ctx = small_ctx();

@@ -94,4 +94,34 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
 
 Rng Rng::fork() { return Rng(next_u64()); }
 
+void PolarSampler::draw(Rng& rng, std::size_t pairs, double* out) {
+  q_.resize(pairs);
+  // Each pass tries one candidate per missing pair, so it can never accept
+  // more points than are missing: the stream stops exactly where the
+  // scalar rejection loop stops.  A rejected point is overwritten by the
+  // next candidate; slot `acc` < pairs always holds.
+  std::size_t done = 0;
+  while (done < pairs) {
+    const std::size_t need = pairs - done;
+    std::size_t acc = done;
+    for (std::size_t j = 0; j < need; ++j) {
+      const double x = 2.0 * rng.uniform() - 1.0;
+      const double y = 2.0 * rng.uniform() - 1.0;
+      const double q = x * x + y * y;
+      out[2 * acc] = x;
+      out[2 * acc + 1] = y;
+      q_[acc] = q;
+      acc += static_cast<std::size_t>(q < 1.0) &
+             static_cast<std::size_t>(q != 0.0);
+    }
+    done = acc;
+  }
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const double q = q_[i];
+    const double f = std::sqrt(-2.0 * std::log(q) / q);
+    out[2 * i] *= f;
+    out[2 * i + 1] *= f;
+  }
+}
+
 }  // namespace doseopt

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <bit>
-#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -78,21 +78,24 @@ class Rng {
   double cached_normal_ = 0.0;
 };
 
-/// One pair of independent standard normals by Marsaglia's polar method:
-/// a uniform point of the unit disc (rejection-sampled from the square)
-/// scaled by sqrt(-2 ln q / q).  A log and a sqrt per pair, no trig, so it
-/// is the draw of the hot samplers (Monte-Carlo dies, the SSTA endpoint
-/// panel).  Reads only uniform(); Rng::normal()'s cached value is left
-/// alone.
-inline std::pair<double, double> polar_normal_pair(Rng& rng) {
-  double x, y, q;
-  do {
-    x = 2.0 * rng.uniform() - 1.0;
-    y = 2.0 * rng.uniform() - 1.0;
-    q = x * x + y * y;
-  } while (q >= 1.0 || q == 0.0);
-  const double f = std::sqrt(-2.0 * std::log(q) / q);
-  return {x * f, y * f};
-}
+/// Block sampler of standard normals by Marsaglia's polar method: each pair
+/// is a uniform point (x, y) of the unit disc, rejection-sampled from the
+/// square, scaled by sqrt(-2 ln q / q) with q = x^2 + y^2.  A log and a
+/// sqrt per pair, no trig, so it is the draw of the hot samplers
+/// (Monte-Carlo dies, the SSTA endpoint panel).
+///
+/// draw() returns exactly the values of `pairs` successive one-pair polar
+/// draws and consumes exactly their uniforms: first every candidate point,
+/// with branch-free compaction of the accepted ones, then one log/sqrt pass
+/// over them.  Reads only uniform(); Rng::normal()'s cached value is left
+/// alone.  The object only holds scratch, so keep one per worker lane.
+class PolarSampler {
+ public:
+  /// Write 2 * pairs normals to out[0 .. 2 * pairs).
+  void draw(Rng& rng, std::size_t pairs, double* out);
+
+ private:
+  std::vector<double> q_;  ///< squared radius of each accepted point
+};
 
 }  // namespace doseopt

@@ -591,22 +591,34 @@ DmoptResult DoseMapOptimizer::minimize_leakage_yield(double timing_bound_ns) {
   SolveOutcome outcome;
   int probes = 0;
   const double tol_ns = std::max(5e-4, 0.001 * tau_target);
-  // The last probe's snapped variants and, when its analysis was healthy,
-  // its analytic yield at the target clock: verification reuses that
-  // yield when the finalized recipe snaps to the same variants (analyze()
-  // is a pure function of the assignment).
-  sta::VariantAssignment probed(nl_->cell_count());
-  std::optional<double> probed_yield;
+  // Healthy SSTA analyses memoized by snapped assignment: analyze() is a
+  // pure function of it, so a probe or a verification that revisits an
+  // assignment reuses the two numbers the loop reads.  Unhealthy results
+  // are never stored, so a poisoned analysis is retried as before.
+  struct SstaPoint {
+    double tau_at_yield;  ///< analytic p-quantile of the MCT
+    double yield;         ///< analytic P(MCT <= tau_target)
+  };
+  std::vector<std::pair<sta::VariantAssignment, SstaPoint>> analyzed;
+  int analyses = 0;
+  auto ssta_point =
+      [&](const sta::VariantAssignment& va) -> std::optional<SstaPoint> {
+    for (const auto& [seen, point] : analyzed)
+      if (seen == va) return point;
+    ++analyses;
+    const ssta::SstaResult sr = ssta_timer.analyze(va);
+    if (!sr.healthy) return std::nullopt;
+    const SstaPoint point{sr.tau_at_yield(p), sr.yield_at(tau_target)};
+    analyzed.emplace_back(va, point);
+    return point;
+  };
   for (int it = 0; it < 8; ++it) {
     outcome = solve_leakage_qp(tau_model, working_set);
     ++probes;
-    probed = snap_variants(outcome);
-    const ssta::SstaResult sr = ssta_timer.analyze(probed);
-    probed_yield.reset();
+    const std::optional<SstaPoint> sp = ssta_point(snap_variants(outcome));
     double gap;
-    if (sr.healthy) {
-      gap = sr.tau_at_yield(p) - tau_target;
-      probed_yield = sr.yield_at(tau_target);
+    if (sp) {
+      gap = sp->tau_at_yield - tau_target;
     } else {
       // Poisoned forms (fault injection): steer on the golden mean this
       // round; the MC verification below still enforces the target.
@@ -633,19 +645,13 @@ DmoptResult DoseMapOptimizer::minimize_leakage_yield(double timing_bound_ns) {
   int rollbacks = 0;
   for (;;) {
     result = finalize(outcome, probes);
-    std::optional<double> ssta_yield;
-    if (probed_yield && result.variants == probed) {
-      ssta_yield = probed_yield;
-    } else {
-      ssta::SstaResult sr = ssta_timer.analyze(result.variants);
-      if (!sr.healthy) sr = ssta_timer.analyze(result.variants);  // once-faults
-      if (sr.healthy) ssta_yield = sr.yield_at(tau_target);
-    }
+    std::optional<SstaPoint> sp = ssta_point(result.variants);
+    if (!sp) sp = ssta_point(result.variants);  // once-faults
     const variation::YieldResult mc = verifier.analyze(result.variants);
     result.yield_target = p;
     result.yield_tau_ns = tau_target;
     result.mc_yield = mc.yield_at(tau_target);
-    result.ssta_yield = ssta_yield.value_or(result.mc_yield);
+    result.ssta_yield = sp ? sp->yield : result.mc_yield;
     result.yield_rollbacks = rollbacks;
     if (result.mc_yield >= p || rollbacks >= 3 || tau_model <= tau_floor)
       break;
@@ -666,6 +672,7 @@ DmoptResult DoseMapOptimizer::minimize_leakage_yield(double timing_bound_ns) {
     ++probes;
     ++rollbacks;
   }
+  result.ssta_analyses = analyses;
   if (result.mc_yield < p) {
     result.degraded = true;
     result.fallback = "yield_target_missed";

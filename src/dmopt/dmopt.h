@@ -127,6 +127,9 @@ struct DmoptResult {
   qp::QpStatus solver_status = qp::QpStatus::kMaxIterations;
   int total_qp_iterations = 0;
   int bisection_probes = 0;
+  /// SSTA analyses the yield-target loop ran (0 elsewhere); fewer than the
+  /// probes when probes revisit an already analyzed assignment.
+  int ssta_analyses = 0;
   double runtime_s = 0.0;
   CutTelemetry telemetry;  ///< per-round cutting-plane counters
 

@@ -80,10 +80,9 @@ DosePlResult DosePlacer::run(const dose::DoseMap& poly_map,
   // Persistent incremental-STA state: a swap round only re-times the cone
   // of the moved cells' nets, not the whole design.
   sta::TimingState timing_state;
-  sta::TimingResult timing = timer_->update(timing_state, variants);
-  result.initial_mct_ns = timing.mct_ns;
+  result.initial_mct_ns = timer_->update(timing_state, variants).mct_ns;
   result.initial_leakage_uw = power::total_leakage_uw(*nl_, *repo_, variants);
-  double best_mct = timing.mct_ns;
+  double best_mct = result.initial_mct_ns;
 
   std::unordered_set<CellId> fixed;  // rolled-back cells, never retried
 
@@ -101,32 +100,43 @@ DosePlResult DosePlacer::run(const dose::DoseMap& poly_map,
   std::vector<SavedLoc> saved;
   saved.reserve(nl_->cell_count());
 
+  // The round's critical path set, sorted, with its eq. (13) weights.  A
+  // rolled-back round restores every location exactly, and extraction,
+  // variant assignment, timing and top_paths are pure functions of the
+  // placement and the maps, so the set survives a rollback unchanged.
+  std::vector<sta::TimingPath> paths;
+  std::vector<double> weight;
+  std::vector<bool> critical;
+  bool paths_stale = true;
+
   for (int round = 0; round < options_.rounds; ++round) {
     ++result.rounds_run;
 
-    // --- golden analysis of the current state (no-op when unchanged) ---
-    timing = timer_->update(timing_state, variants);
-    std::vector<sta::TimingPath> paths =
-        timer_->top_paths(variants, timing, options_.top_k_paths);
-    if (paths.empty()) break;
+    if (paths_stale) {
+      // Golden analysis of the current state (no-op when unchanged).
+      const sta::TimingResult& now = timer_->update(timing_state, variants);
+      paths = timer_->top_paths(variants, now, options_.top_k_paths);
 
-    // Weights (eq. (13)): W(cell) = sum over containing critical paths of
-    // e^{-slack}.  Also mark criticality.
-    std::vector<double> weight(nl_->cell_count(), 0.0);
-    std::vector<bool> critical(nl_->cell_count(), false);
-    for (const sta::TimingPath& p : paths) {
-      const double w = std::exp(-p.slack_ns);
-      for (CellId c : p.cells) {
-        weight[c] += w;
-        critical[c] = true;
+      // Weights (eq. (13)): W(cell) = sum over containing critical paths
+      // of e^{-slack}.  Also mark criticality.
+      weight.assign(nl_->cell_count(), 0.0);
+      critical.assign(nl_->cell_count(), false);
+      for (const sta::TimingPath& p : paths) {
+        const double w = std::exp(-p.slack_ns);
+        for (CellId c : p.cells) {
+          weight[c] += w;
+          critical[c] = true;
+        }
       }
-    }
 
-    // Paths in non-decreasing slack order (most critical first).
-    std::sort(paths.begin(), paths.end(),
-              [](const sta::TimingPath& a, const sta::TimingPath& b) {
-                return a.slack_ns < b.slack_ns;
-              });
+      // Paths in non-decreasing slack order (most critical first).
+      std::sort(paths.begin(), paths.end(),
+                [](const sta::TimingPath& a, const sta::TimingPath& b) {
+                  return a.slack_ns < b.slack_ns;
+                });
+      paths_stale = false;
+    }
+    if (paths.empty()) break;
 
     if (grid_cells_dirty) {
       for (auto& cells : grid_cells) cells.clear();
@@ -148,8 +158,6 @@ DosePlResult DosePlacer::run(const dose::DoseMap& poly_map,
     int swaps_this_round = 0;
     std::vector<CellId> swapped_cells;
     std::vector<int> swaps_on_path(paths.size(), 0);
-    // Map cells to the paths that contain them, to update per-path counts.
-    // (Only needed for the paths we touch; rebuilt per swap for simplicity.)
 
     for (std::size_t pk = 0;
          pk < paths.size() && swaps_this_round < options_.max_swaps_per_round;
@@ -225,17 +233,21 @@ DosePlResult DosePlacer::run(const dose::DoseMap& poly_map,
                 hm1 <= hm0 * (1.0 + options_.hpwl_increase_limit) + 1e-9;
 
             // Leakage filter (gamma4): pair leakage at the swapped grids.
+            // Both dose maps are per location, so each cell takes over
+            // the other's poly and active variant.
             const auto master_l = nl_->cell(cell_l).master_index;
             const auto master_m = nl_->cell(cell_m).master_index;
             const int vl_old = liberty::dose_to_variant_index(dose_l);
             const int vm_old =
                 liberty::dose_to_variant_index(poly_map.doses()[g]);
+            const int al = variants.get(cell_l).second;
+            const int am = variants.get(cell_m).second;
             const double leak_before =
-                repo_->variant(vl_old, 10).cell(master_l).leakage_nw +
-                repo_->variant(vm_old, 10).cell(master_m).leakage_nw;
+                repo_->variant(vl_old, al).cell(master_l).leakage_nw +
+                repo_->variant(vm_old, am).cell(master_m).leakage_nw;
             const double leak_after =
-                repo_->variant(vm_old, 10).cell(master_l).leakage_nw +
-                repo_->variant(vl_old, 10).cell(master_m).leakage_nw;
+                repo_->variant(vm_old, am).cell(master_l).leakage_nw +
+                repo_->variant(vl_old, al).cell(master_m).leakage_nw;
             const bool leak_ok =
                 leak_after <=
                 leak_before * (1.0 + options_.leak_increase_limit);
@@ -278,9 +290,11 @@ DosePlResult DosePlacer::run(const dose::DoseMap& poly_map,
       ++result.rounds_accepted;
       result.swaps_accepted += swaps_this_round;
       grid_cells_dirty = true;  // legalized locations stay
+      paths_stale = true;
     } else {
       // Roll back: restore every location, re-extract, re-assign, and
-      // re-sync the timing state against the restored parasitics.
+      // re-sync the timing state against the restored parasitics.  The
+      // path set stays valid (see above).
       for (const SavedLoc& s : saved) placement_->set_location(s.cell, s.loc);
       before_eco = *parasitics_;
       *parasitics_ = extract::extract(*placement_, repo_->device().node());

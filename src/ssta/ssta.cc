@@ -169,16 +169,13 @@ std::vector<double> sample_endpoint_panel(
   pool.parallel_for(chunks, [&](std::size_t c) {
     constexpr std::size_t B = kPanelBlockPairs;
     Rng stream(chunk_seed[c]);
+    PolarSampler sampler;
     std::vector<double> draws(rows * B);
     const std::size_t end = std::min(pairs, (c + 1) * kPanelChunkPairs);
     for (std::size_t s0 = c * kPanelChunkPairs; s0 < end; s0 += B) {
       // A whole block is drawn even when it overhangs the last pair, so
       // the stream layout does not depend on the sample count.
-      for (std::size_t t = 0; t < draws.size(); t += 2) {
-        const auto [z0, z1] = polar_normal_pair(stream);
-        draws[t] = z0;
-        draws[t + 1] = z1;
-      }
+      sampler.draw(stream, draws.size() / 2, draws.data());
       // One deviation per endpoint serves both antithetic signs; the
       // scalar MCT fold starts at 0.
       std::array<double, B> worst_hi{}, worst_lo{}, dev{};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "common/error.h"
 
@@ -488,7 +487,8 @@ std::vector<TimingPath> Timer::top_paths(const VariantAssignment& variants,
                                          const TimingResult& timing,
                                          std::size_t k) const {
   const netlist::Netlist& nl = *netlist_;
-  DOSEOPT_CHECK(timing.cells.size() == nl.cell_count(),
+  const std::size_t cell_count = nl.cell_count();
+  DOSEOPT_CHECK(timing.cells.size() == cell_count,
                 "top_paths: timing result mismatch");
 
   // Per-cell resolved characterized cells (one variant-map lookup per
@@ -506,31 +506,53 @@ std::vector<TimingPath> Timer::top_paths(const VariantAssignment& variants,
     return lib->cell(nl.cell(c).master_index);
   };
 
+  // Flat per-call tables for the search loop: a contiguous arrival array,
+  // per-cell flags, and per-edge (driver, wire + gate delay) entries that a
+  // cell fills on its first expansion (most cells are never expanded, so a
+  // full fill up front costs more than it saves on the large designs).
+  constexpr std::uint8_t kSequential = 1;
+  constexpr std::uint8_t kEdgesFilled = 2;
+  std::vector<double> arrival(cell_count);
+  for (std::size_t ci = 0; ci < cell_count; ++ci)
+    arrival[ci] = timing.cells[ci].arrival_ns;
+  std::vector<std::uint8_t> flags(cell_count, 0);
+  for (CellId ci : seq_cells_) flags[ci] = kSequential;
+  struct EdgeStage {
+    double delay;  ///< wire delay into the cell + the cell's gate delay
+    CellId driver;
+  };
+  std::vector<EdgeStage> edge_stage(fanin_net_.size());
+
   // Best-first backward enumeration of K longest paths.  A partial path is
   // anchored at some cell; its bound = arrival(cell) + suffix delay (cell
   // output -> endpoint).  Since arrival is the exact longest prefix, bounds
   // are admissible and paths complete in exact non-increasing delay order.
+  // Equal bounds leave the heap in the order its push/pop sequence gives
+  // them, so that sequence is part of the output: dosePl's unstable sort
+  // of this list sees the same ties only if it never changes.
   struct Partial {
-    double bound;
     CellId cell;
     std::int32_t parent;  ///< index into the arena, -1 at an endpoint
     bool complete;        ///< true once the launch point has been reached
   };
-  struct Cmp {
-    bool operator()(const std::pair<double, std::size_t>& a,
-                    const std::pair<double, std::size_t>& b) const {
-      return a.first < b.first;
-    }
+  using Entry = std::pair<double, std::size_t>;  ///< (bound, arena index)
+  const auto by_bound = [](const Entry& a, const Entry& b) {
+    return a.first < b.first;
   };
+  // K = 10 000 on the four full-size Table I designs grows the arena to 6-35
+  // entries per path and the heap to most of that; pages reserved but never
+  // touched cost no memory, so reserve for the worst of them.
   std::vector<Partial> arena;
-  std::priority_queue<std::pair<double, std::size_t>,
-                      std::vector<std::pair<double, std::size_t>>, Cmp>
-      queue;
+  std::vector<Entry> heap;
+  const std::size_t reserve = std::min<std::size_t>(k, cell_count);
+  arena.reserve(40 * reserve);
+  heap.reserve(40 * reserve);
 
   auto push = [&](double bound, CellId cell, std::int32_t parent,
                   bool complete) {
-    arena.push_back(Partial{bound, cell, parent, complete});
-    queue.emplace(bound, arena.size() - 1);
+    arena.push_back(Partial{cell, parent, complete});
+    heap.emplace_back(bound, arena.size() - 1);
+    std::push_heap(heap.begin(), heap.end(), by_bound);
   };
 
   // Seed with endpoints: flop D pins and primary outputs.
@@ -541,8 +563,8 @@ std::vector<TimingPath> Timer::top_paths(const VariantAssignment& variants,
       const NetId n = fanin_net_[e];
       const CellId drv = nl.net(n).driver;
       if (drv == kNoCell) continue;
-      const double bound = timing.cells[drv].arrival_ns +
-                           parasitics_->wire_delay_ns(n, cap) + setup;
+      const double bound =
+          arrival[drv] + parasitics_->wire_delay_ns(n, cap) + setup;
       push(bound, drv, -1, false);
     }
   }
@@ -550,23 +572,29 @@ std::vector<TimingPath> Timer::top_paths(const VariantAssignment& variants,
     const CellId drv = nl.net(n).driver;
     if (drv == kNoCell) continue;
     const double bound =
-        timing.cells[drv].arrival_ns +
-        parasitics_->wire_delay_ns(n, options_.output_load_ff);
+        arrival[drv] + parasitics_->wire_delay_ns(n, options_.output_load_ff);
     push(bound, drv, -1, false);
   }
 
   std::vector<TimingPath> paths;
-  while (paths.size() < k && !queue.empty()) {
-    const auto [bound, idx] = queue.top();
-    queue.pop();
+  paths.reserve(reserve);
+  while (paths.size() < k && !heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), by_bound);
+    const auto [bound, idx] = heap.back();
+    heap.pop_back();
     const Partial part = arena[idx];
-    const netlist::Cell& cell = nl.cell(part.cell);
+    const CellId c = part.cell;
 
-    if (part.complete || cell.sequential) {
+    if (part.complete || (flags[c] & kSequential) != 0) {
       // Launch point reached: unwind the chain (launch -> capture order).
       TimingPath p;
       p.delay_ns = bound;
       p.slack_ns = timing.clock_ns - bound;
+      std::size_t length = 0;
+      for (std::int32_t i = static_cast<std::int32_t>(idx); i >= 0;
+           i = arena[static_cast<std::size_t>(i)].parent)
+        ++length;
+      p.cells.reserve(length);
       for (std::int32_t i = static_cast<std::int32_t>(idx); i >= 0;
            i = arena[static_cast<std::size_t>(i)].parent)
         p.cells.push_back(arena[static_cast<std::size_t>(i)].cell);
@@ -574,28 +602,34 @@ std::vector<TimingPath> Timer::top_paths(const VariantAssignment& variants,
       continue;
     }
 
-    const double cap = lib_cell(part.cell).input_cap_ff;
-    const double suffix = bound - timing.cells[part.cell].arrival_ns;
-    double best_pi_bound = -1e30;
     // Expand over the precomputed deduped fanin edges: a net wired to
     // several pins of the same cell is one timing edge, not several
     // parallel paths.
-    for (std::size_t e = fanin_ptr_[part.cell]; e < fanin_ptr_[part.cell + 1];
-         ++e) {
-      const NetId n = fanin_net_[e];
-      const CellId drv = nl.net(n).driver;
-      const double stage = parasitics_->wire_delay_ns(n, cap) +
-                           timing.cells[part.cell].gate_delay_ns + suffix;
+    const std::size_t e0 = fanin_ptr_[c], e1 = fanin_ptr_[c + 1];
+    if ((flags[c] & kEdgesFilled) == 0) {
+      const double cap = lib_cell(c).input_cap_ff;
+      const double gate = timing.cells[c].gate_delay_ns;
+      for (std::size_t e = e0; e < e1; ++e) {
+        const NetId n = fanin_net_[e];
+        edge_stage[e] = {parasitics_->wire_delay_ns(n, cap) + gate,
+                         nl.net(n).driver};
+      }
+      flags[c] |= kEdgesFilled;
+    }
+    const double suffix = bound - arrival[c];
+    double best_pi_bound = -1e30;
+    for (std::size_t e = e0; e < e1; ++e) {
+      const double stage = edge_stage[e].delay + suffix;
+      const CellId drv = edge_stage[e].driver;
       if (drv == kNoCell) {
         // Primary-input launch (arrival 0): path completes here.
         best_pi_bound = std::max(best_pi_bound, stage);
       } else {
-        push(timing.cells[drv].arrival_ns + stage, drv,
-             static_cast<std::int32_t>(idx), false);
+        push(arrival[drv] + stage, drv, static_cast<std::int32_t>(idx),
+             false);
       }
     }
-    if (best_pi_bound > -1e30)
-      push(best_pi_bound, part.cell, part.parent, true);
+    if (best_pi_bound > -1e30) push(best_pi_bound, c, part.parent, true);
   }
   return paths;
 }

@@ -76,7 +76,7 @@ std::vector<std::pair<double, double>> YieldAnalyzer::die_uv() const {
 void YieldAnalyzer::sample_delta_l_into(
     std::uint64_t sample_seed,
     const std::vector<std::pair<double, double>>& uv,
-    std::vector<double>& out) const {
+    std::vector<double>& out, PolarSampler& sampler) const {
   Rng rng(sample_seed);
 
   // Spatially correlated ACLV residual: a random low-order polynomial field
@@ -90,13 +90,15 @@ void YieldAnalyzer::sample_delta_l_into(
 
   // The per-cell random component draws one standard normal per cell, which
   // makes the draw the hot path of the whole Monte-Carlo loop (cell_count
-  // draws per die, both engines): polar_normal_pair() generates them from
-  // a log and a sqrt alone, two cells per pair.
+  // draws per die, both engines): the polar block sampler generates them
+  // from a log and a sqrt alone, two cells per pair, straight into `out`
+  // (an odd cell count draws one spare normal, as a pair at a time did).
   const double sigma = model_.random_sigma_nm;
-  std::pair<double, double> z;
+  const std::size_t cells = nl_->cell_count();
+  out.resize(cells + cells % 2);
+  sampler.draw(rng, out.size() / 2, out.data());
 
-  out.resize(nl_->cell_count());
-  for (std::size_t ci = 0; ci < nl_->cell_count(); ++ci) {
+  for (std::size_t ci = 0; ci < cells; ++ci) {
     const auto [u, v] = uv[ci];
     // Left-associated accumulation in source order -- bitwise-identical to
     // the historical single-expression sum.
@@ -104,15 +106,16 @@ void YieldAnalyzer::sample_delta_l_into(
         systematic_basis(u, v);
     double field = coef[0] * basis[0];
     for (int k = 1; k < kSystematicSources; ++k) field += coef[k] * basis[k];
-    if (ci % 2 == 0) z = polar_normal_pair(rng);
-    out[ci] = scale * field + sigma * (ci % 2 == 0 ? z.first : z.second);
+    out[ci] = scale * field + sigma * out[ci];
   }
+  out.resize(cells);
 }
 
 std::vector<double> YieldAnalyzer::sample_delta_l_nm(
     std::uint64_t sample_seed) const {
   std::vector<double> dl;
-  sample_delta_l_into(sample_seed, die_uv(), dl);
+  PolarSampler sampler;
+  sample_delta_l_into(sample_seed, die_uv(), dl, sampler);
   return dl;
 }
 
@@ -197,11 +200,13 @@ YieldResult YieldAnalyzer::analyze(const sta::VariantAssignment& base,
   const sta::BatchedTimer batched(timer_);
   constexpr int K = sta::kBatchLanes;
 
-  // Per-worker scratch: the batched workspace, one delta-L buffer per lane,
-  // the lane-major poly-index panel (shared by timing and the leakage
-  // gather), and a persistent scalar state for degraded-lane re-timing.
+  // Per-worker scratch: the batched workspace, the normal sampler, one
+  // delta-L buffer per lane, the lane-major poly-index panel (shared by
+  // timing and the leakage gather), and a persistent scalar state for
+  // degraded-lane re-timing.
   struct LaneScratch {
     sta::BatchWorkspace ws;
+    PolarSampler sampler;
     std::array<std::vector<double>, sta::kBatchLanes> dl;
     std::vector<std::uint8_t> idx;
     sta::TimingState fb_state;
@@ -219,7 +224,7 @@ YieldResult YieldAnalyzer::analyze(const sta::VariantAssignment& base,
     sc.idx.resize(cell_count * K);
     for (int l = 0; l < k; ++l)
       sample_delta_l_into(die_seed[s0 + static_cast<std::size_t>(l)], uv,
-                          sc.dl[l]);
+                          sc.dl[l], sc.sampler);
     for (std::size_t ci = 0; ci < cell_count; ++ci) {
       // The assigned variant already encodes the dose-driven delta-L; the
       // variation adds to it (1 nm of delta-L per variant index step,
@@ -275,9 +280,12 @@ YieldResult YieldAnalyzer::analyze_scalar(const sta::VariantAssignment& base,
       static_cast<std::size_t>(p.lane_count()));
   std::vector<std::vector<double>> lane_dl(
       static_cast<std::size_t>(p.lane_count()));
+  std::vector<PolarSampler> lane_sampler(
+      static_cast<std::size_t>(p.lane_count()));
   p.parallel_for_lane(samples, [&](int lane, std::size_t s) {
     std::vector<double>& dl = lane_dl[static_cast<std::size_t>(lane)];
-    sample_delta_l_into(die_seed[s], uv, dl);
+    sample_delta_l_into(die_seed[s], uv, dl,
+                        lane_sampler[static_cast<std::size_t>(lane)]);
     sta::VariantAssignment va = base;
     for (std::size_t ci = 0; ci < nl_->cell_count(); ++ci) {
       const auto id = static_cast<CellId>(ci);

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dose/dose_map.h"
 #include "sta/timer.h"
@@ -130,11 +131,12 @@ class YieldAnalyzer {
   std::vector<std::pair<double, double>> die_uv() const;
 
   /// Sample one die's delta-L field into a caller-provided buffer (resized
-  /// to cell_count); bitwise-identical to sample_delta_l_nm() without the
-  /// per-sample allocation.
+  /// to cell_count) with a caller-provided normal sampler, so a worker lane
+  /// reuses both across dies; bitwise-identical to sample_delta_l_nm().
   void sample_delta_l_into(std::uint64_t sample_seed,
                            const std::vector<std::pair<double, double>>& uv,
-                           std::vector<double>& out) const;
+                           std::vector<double>& out,
+                           PolarSampler& sampler) const;
 
   std::vector<std::uint64_t> die_seeds(std::size_t samples) const;
   void warm_repo(const sta::VariantAssignment& base, ThreadPool& p) const;

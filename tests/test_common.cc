@@ -2,9 +2,12 @@
 // and the error-checking macros.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -14,6 +17,20 @@
 
 namespace doseopt {
 namespace {
+
+/// One pair of polar normals per call: the scalar rejection loop that the
+/// block sampler replaced, kept as the reference PolarSampler must match
+/// value for value and uniform for uniform.
+std::pair<double, double> polar_normal_pair(Rng& rng) {
+  double x, y, q;
+  do {
+    x = 2.0 * rng.uniform() - 1.0;
+    y = 2.0 * rng.uniform() - 1.0;
+    q = x * x + y * y;
+  } while (q >= 1.0 || q == 0.0);
+  const double f = std::sqrt(-2.0 * std::log(q) / q);
+  return {x * f, y * f};
+}
 
 TEST(Error, CheckThrowsWithMessage) {
   try {
@@ -109,17 +126,17 @@ TEST(Rng, NormalMomentsApproximatelyStandard) {
 TEST(Rng, StreamsArePinned) {
   // The first values of each stream, recorded before next_u64/uniform
   // moved inline and before the Monte-Carlo sampler's polar draw became
-  // polar_normal_pair(): every seeded experiment depends on them.
+  // one pair per call: every seeded experiment depends on them.  The polar
+  // stream now comes from the block sampler.
   testing_support::Fnv1a words, uniforms, normals, polar;
   Rng w(42), u(43), n(44), p(45);
   for (int i = 0; i < 1000; ++i) words.add(w.next_u64());
   for (int i = 0; i < 1000; ++i) uniforms.add(u.uniform());
   for (int i = 0; i < 1001; ++i) normals.add(n.normal());  // odd: the cache
-  for (int i = 0; i < 500; ++i) {
-    const auto [z0, z1] = polar_normal_pair(p);
-    polar.add(z0);
-    polar.add(z1);
-  }
+  std::vector<double> z(1000);
+  PolarSampler sampler;
+  sampler.draw(p, 500, z.data());
+  for (const double x : z) polar.add(x);
   EXPECT_EQ(words.value(), 0x7724342798A193C9ULL);
   EXPECT_EQ(uniforms.value(), 0x5C3F6075B1796375ULL);
   EXPECT_EQ(normals.value(), 0xF95911E6FF97E6F8ULL);
@@ -134,21 +151,45 @@ TEST(Rng, PolarNormalMatchesStandardNormalMoments) {
   constexpr int kPairs = 500000;
   constexpr double n = 2.0 * kPairs;
   Rng rng(20261017);
+  std::vector<double> draws(2 * kPairs);
+  PolarSampler sampler;
+  sampler.draw(rng, kPairs, draws.data());
   double sum = 0.0, sq = 0.0, quad = 0.0, tail = 0.0;
-  for (int i = 0; i < kPairs; ++i) {
-    const auto [z0, z1] = polar_normal_pair(rng);
-    for (const double z : {z0, z1}) {
-      sum += z;
-      sq += z * z;
-      quad += z * z * z * z;
-      if (std::fabs(z) > 3.0) tail += 1.0;
-    }
+  for (const double z : draws) {
+    sum += z;
+    sq += z * z;
+    quad += z * z * z * z;
+    if (std::fabs(z) > 3.0) tail += 1.0;
   }
   const double p_tail = std::erfc(3.0 / std::sqrt(2.0));
   EXPECT_NEAR(sum / n, 0.0, 4.0 * std::sqrt(1.0 / n));
   EXPECT_NEAR(sq / n, 1.0, 4.0 * std::sqrt(2.0 / n));
   EXPECT_NEAR(quad / n, 3.0, 4.0 * std::sqrt(96.0 / n));
   EXPECT_NEAR(tail / n, p_tail, 4.0 * std::sqrt(p_tail * (1.0 - p_tail) / n));
+}
+
+TEST(Rng, PolarSamplerMatchesScalarDraws) {
+  // Same values bit for bit, and the same uniforms consumed: the next word
+  // after the block equals the next word after the scalar loop.  One
+  // sampler serves every count, so reused scratch is covered too.
+  PolarSampler sampler;
+  for (const std::size_t pairs : {0, 1, 2, 17, 5480}) {
+    Rng scalar(77 + pairs), block(77 + pairs);
+    std::vector<double> want;
+    for (std::size_t i = 0; i < pairs; ++i) {
+      const auto [z0, z1] = polar_normal_pair(scalar);
+      want.push_back(z0);
+      want.push_back(z1);
+    }
+    std::vector<double> got(2 * pairs + 1, -7.0);
+    sampler.draw(block, pairs, got.data());
+    for (std::size_t i = 0; i < 2 * pairs; ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "pairs " << pairs << " value " << i;
+    EXPECT_EQ(got[2 * pairs], -7.0) << "wrote past the block";
+    EXPECT_EQ(block.next_u64(), scalar.next_u64()) << "pairs " << pairs;
+  }
 }
 
 TEST(Rng, NormalScaled) {

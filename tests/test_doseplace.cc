@@ -93,5 +93,36 @@ TEST_F(DosePlTest, MultipleSwapsPerRoundAllowed) {
   EXPECT_TRUE(ctx_->placement().is_legal());
 }
 
+TEST(DosePlWidth, LeakageFilterPricesTheActiveVariants) {
+  // A width-modulated recipe gives cells active indices other than the
+  // nominal 10.  The gamma4 filter prices each cell at its own poly and
+  // active variant before the swap and at the other cell's after it (both
+  // maps are per location).  Pricing every cell at active index 10, the
+  // rule this replaced, accepts 4 rounds and 16 swaps on this input.
+  flow::DesignContext ctx(gen::aes65_spec().scaled(0.03));
+  dmopt::DmoptOptions dm_opt;
+  dm_opt.grid_um = 10.0;
+  dm_opt.modulate_width = true;
+  dmopt::DoseMapOptimizer optimizer(
+      &ctx.netlist(), &ctx.placement(), &ctx.parasitics(), &ctx.repo(),
+      &ctx.coefficients(true), &ctx.timer(), &ctx.nominal_timing(), dm_opt);
+  const dmopt::DmoptResult dm = optimizer.minimize_leakage();
+  ASSERT_TRUE(dm.active_map.has_value());
+
+  sta::VariantAssignment variants = dm.variants;
+  DosePlOptions opt;
+  opt.rounds = 4;
+  opt.top_k_paths = 500;
+  opt.leak_increase_limit = 0.0;
+  opt.max_swaps_per_round = 4;
+  DosePlacer placer(&ctx.netlist(), &ctx.placement(), &ctx.parasitics(),
+                    &ctx.repo(), &ctx.timer(), opt);
+  const DosePlResult r = placer.run(dm.poly_map, &*dm.active_map, variants);
+  EXPECT_EQ(r.rounds_accepted, 2);
+  EXPECT_EQ(r.swaps_accepted, 8);
+  EXPECT_LE(r.final_mct_ns, r.initial_mct_ns + 1e-9);
+  EXPECT_TRUE(ctx.placement().is_legal());
+}
+
 }  // namespace
 }  // namespace doseopt::doseplace

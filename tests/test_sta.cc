@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "gen/design_gen.h"
+#include "place/placer.h"
 #include "sta/timer.h"
 #include "test_helpers.h"
 
@@ -250,6 +251,58 @@ TEST_P(TopPathsExact, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TopPathsExact, ::testing::Range(1, 6));
 
+/// FNV-1a over a whole path list: every cell id and the bits of every
+/// delay and slack, in list order.  Equal checksums mean equal lists,
+/// including the order of equal-delay paths.
+std::uint64_t path_list_checksum(const std::vector<TimingPath>& paths) {
+  testing_support::Fnv1a h;
+  for (const TimingPath& p : paths) {
+    h.add(static_cast<std::uint64_t>(p.cells.size()));
+    for (netlist::CellId c : p.cells) h.add(static_cast<std::uint64_t>(c));
+    h.add(p.delay_ns);
+    h.add(p.slack_ns);
+  }
+  return h.value();
+}
+
+struct PinnedPaths {
+  const char* design;
+  std::uint64_t checksum;
+};
+
+class TopPathsPinned : public ::testing::TestWithParam<PinnedPaths> {};
+
+TEST_P(TopPathsPinned, TenThousandPathsAtNominal) {
+  // The full K = 10000 list of each Table I design at the 12 % scale
+  // (DOSEOPT_FAST), recorded before the enumeration moved onto flat
+  // per-call tables.  dosePl sorts this list with an unstable sort, so the
+  // order of equal-delay paths is part of the contract, not just the delays.
+  const gen::DesignSpec spec =
+      gen::spec_by_name(GetParam().design).scaled(0.12);
+  const tech::TechNode node = tech::tech_node_by_name(spec.tech);
+  liberty::LibraryRepository repo(node);
+  const gen::GeneratedDesign d =
+      gen::generate_design(spec, repo.masters(), node);
+  const extract::Parasitics para = extract::extract(*d.placement, node);
+  Timer timer(d.netlist.get(), &para, &repo);
+  const VariantAssignment va(d.netlist->cell_count());
+  const std::vector<TimingPath> paths =
+      timer.top_paths(va, timer.analyze(va), 10000);
+  ASSERT_EQ(paths.size(), 10000u);
+  EXPECT_EQ(path_list_checksum(paths), GetParam().checksum)
+      << std::hex << path_list_checksum(paths);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, TopPathsPinned,
+    ::testing::Values(PinnedPaths{"aes65", 0xDA16D94182CB28BAULL},
+                      PinnedPaths{"jpeg65", 0x6D732B7C677416FBULL},
+                      PinnedPaths{"aes90", 0xE828C4DF03FED851ULL},
+                      PinnedPaths{"jpeg90", 0xEE777EAE23DF1BE4ULL}),
+    [](const ::testing::TestParamInfo<PinnedPaths>& info) {
+      return std::string(info.param.design);
+    });
+
 // --- randomized incremental-STA equivalence against full analyze() ---
 
 void expect_timing_identical(const TimingResult& incr, const TimingResult& full,
@@ -370,6 +423,79 @@ TEST_P(IncrementalSta, PlacementSwapsWithChangedNetsMatchFullAnalyze) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSta, ::testing::Range(1, 4));
+
+void expect_timing_bitwise_equal(const TimingResult& a,
+                                 const TimingResult& b) {
+  ASSERT_EQ(a.cells.size(), b.cells.size());
+  EXPECT_EQ(a.mct_ns, b.mct_ns);
+  EXPECT_EQ(a.clock_ns, b.clock_ns);
+  EXPECT_EQ(a.worst_slack_ns, b.worst_slack_ns);
+  EXPECT_EQ(a.worst_hold_slack_ns, b.worst_hold_slack_ns);
+  for (std::size_t c = 0; c < a.cells.size(); ++c) {
+    const CellTiming& x = a.cells[c];
+    const CellTiming& y = b.cells[c];
+    ASSERT_TRUE(x.arrival_ns == y.arrival_ns &&
+                x.min_arrival_ns == y.min_arrival_ns &&
+                x.required_ns == y.required_ns && x.slack_ns == y.slack_ns &&
+                x.gate_delay_ns == y.gate_delay_ns &&
+                x.input_slew_ns == y.input_slew_ns &&
+                x.output_slew_ns == y.output_slew_ns &&
+                x.load_ff == y.load_ff)
+        << "cell " << c;
+  }
+}
+
+TEST(IncrementalStaRollback, RestoreIsBitIdentical) {
+  // dosePl's rollback: swap cells, legalize, re-extract and re-time, then
+  // restore every location, re-extract and re-time.  The timing and
+  // the K-path list must equal the pre-swap ones bit for bit, which is what
+  // lets dosePl keep its path set across a rolled-back round.
+  const gen::DesignSpec spec = gen::aes65_spec().scaled(0.03);
+  const tech::TechNode node = tech::make_tech_65nm();
+  liberty::LibraryRepository repo(node);
+  gen::GeneratedDesign d = gen::generate_design(spec, repo.masters(), node);
+  extract::Parasitics para = extract::extract(*d.placement, node);
+  Timer timer(d.netlist.get(), &para, &repo);
+  const std::size_t cells = d.netlist->cell_count();
+  VariantAssignment va(cells);
+  Rng rng(2026);
+  for (std::size_t c = 0; c < cells; ++c)
+    va.set(static_cast<netlist::CellId>(c),
+           static_cast<int>(rng.uniform_index(liberty::kVariantsPerLayer)),
+           10);
+
+  TimingState state;
+  const TimingResult before = timer.update(state, va);
+  const std::vector<TimingPath> paths_before =
+      timer.top_paths(va, before, 2000);
+
+  std::vector<place::CellLocation> saved(cells);
+  for (std::size_t c = 0; c < cells; ++c)
+    saved[c] = d.placement->location(static_cast<netlist::CellId>(c));
+  for (int swap = 0; swap < 3; ++swap) {
+    d.placement->swap_cells(
+        static_cast<netlist::CellId>(rng.uniform_index(cells)),
+        static_cast<netlist::CellId>(rng.uniform_index(cells)));
+  }
+  place::legalize(*d.placement);
+  extract::Parasitics prev = para;
+  para = extract::extract(*d.placement, node);
+  const double moved_mct =
+      timer.update(state, va, diff_parasitics(prev, para)).mct_ns;
+
+  for (std::size_t c = 0; c < cells; ++c)
+    d.placement->set_location(static_cast<netlist::CellId>(c), saved[c]);
+  prev = para;
+  para = extract::extract(*d.placement, node);
+  const TimingResult after =
+      timer.update(state, va, diff_parasitics(prev, para));
+  EXPECT_NE(moved_mct, after.mct_ns);  // the swaps did move the timing
+
+  expect_timing_bitwise_equal(after, before);
+  const std::vector<TimingPath> paths_after =
+      timer.top_paths(va, after, 2000);
+  EXPECT_EQ(path_list_checksum(paths_after), path_list_checksum(paths_before));
+}
 
 TEST(CriticalPercentage, CountsWithinBand) {
   std::vector<TimingPath> paths(10);

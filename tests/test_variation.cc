@@ -112,7 +112,7 @@ TEST_F(YieldTest, DeterministicForSameSeed) {
 
 TEST(YieldModel, DiesArePinned) {
   // 64 dies of AES-65 at 2 %, recorded before the per-cell draw moved to
-  // the shared polar_normal_pair(): the sampler's stream must not move.
+  // the polar method (now the block sampler): the stream must not move.
   flow::DesignContext ctx(gen::aes65_spec().scaled(0.02));
   VariationModel model;
   model.monte_carlo_samples = 64;
