@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical kernels:
 // library characterization, full STA, incremental STA, top-K path
-// enumeration, the polar normal sampler, QP solves, parasitic extraction,
-// and the complete DMopt QP on a small design.
+// enumeration, the polar normal sampler, the SSTA endpoint panel and whole
+// SSTA analysis, serial CSR products, QP solves, parasitic extraction, and
+// the complete DMopt QP on a small design.
 //
 // Besides the google-benchmark console output, main() hand-times the four
 // kernels the perf trajectory is tracked on -- full STA, incremental STA
@@ -17,7 +18,10 @@
 #include "dmopt/dmopt.h"
 #include "flow/context.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "la/sparse.h"
 #include "qp/qp_solver.h"
+#include "ssta/ssta.h"
 
 using namespace doseopt;
 
@@ -121,6 +125,91 @@ void BM_PolarNormals(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * kPairs));
 }
 BENCHMARK(BM_PolarNormals);
+
+// The SSTA yield-curve kernel on its own: the endpoint panel over the
+// endpoint forms of AES-65 at 5 % scale (809 cells, the yield_target
+// design), 32768 samples on one lane.
+void BM_EndpointPanel(benchmark::State& state) {
+  static flow::DesignContext* ctx =
+      new flow::DesignContext(gen::aes65_spec().scaled(0.05));
+  const ssta::SstaTimer engine(&ctx->timer(), &ctx->placement(),
+                               &ctx->coefficients(false),
+                               variation::VariationModel{});
+  ThreadPool one(1);
+  const ssta::SstaResult forms = engine.analyze(
+      sta::VariantAssignment(ctx->netlist().cell_count()), &one);
+  for (auto _ : state) {
+    const std::vector<double> samples = ssta::sample_endpoint_panel(
+        forms.endpoints, 32768, engine.model().seed, one);
+    benchmark::DoNotOptimize(samples.data());
+  }
+  state.counters["endpoints"] = static_cast<double>(forms.endpoints.size());
+}
+BENCHMARK(BM_EndpointPanel)->Unit(benchmark::kMillisecond);
+
+// One whole SSTA analysis (base pass, level-scheduled form propagation,
+// Clark endpoint fold, endpoint panel) of the same design at 1 and 4 lanes.
+void BM_SstaAnalyze(benchmark::State& state) {
+  static flow::DesignContext* ctx =
+      new flow::DesignContext(gen::aes65_spec().scaled(0.05));
+  const ssta::SstaTimer engine(&ctx->timer(), &ctx->placement(),
+                               &ctx->coefficients(false),
+                               variation::VariationModel{});
+  const sta::VariantAssignment base(ctx->netlist().cell_count());
+  ThreadPool pool(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const ssta::SstaResult r = engine.analyze(base, &pool);
+    benchmark::DoNotOptimize(r.mean_mct_ns);
+  }
+}
+BENCHMARK(BM_SstaAnalyze)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// Serial CSR products (one lane): square n x n, 1-8 entries per row.
+la::CsrMatrix make_csr(std::size_t n) {
+  Rng rng(n);
+  la::TripletMatrix t(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t count = 1 + rng.uniform_index(8);
+    for (std::size_t k = 0; k < count; ++k)
+      t.add(r, rng.uniform_index(n), rng.uniform(-1.0, 1.0));
+  }
+  return la::CsrMatrix(t);
+}
+
+la::Vec random_vec(std::size_t n) {
+  Rng rng(n + 1);
+  la::Vec v(n);
+  for (double& x : v) x = rng.uniform(-1.0, 1.0);
+  return v;
+}
+
+void BM_CsrMultiply(benchmark::State& state) {
+  const la::CsrMatrix a = make_csr(static_cast<std::size_t>(state.range(0)));
+  const la::Vec x = random_vec(a.cols());
+  la::Vec y;
+  ThreadPool one(1);
+  for (auto _ : state) {
+    a.multiply(x, y, &one);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["nnz"] = static_cast<double>(a.nnz());
+}
+BENCHMARK(BM_CsrMultiply)->Arg(1000)->Arg(100000);
+
+void BM_CsrMultiplyTranspose(benchmark::State& state) {
+  const la::CsrMatrix a = make_csr(static_cast<std::size_t>(state.range(0)));
+  const la::Vec x = random_vec(a.rows());
+  la::Vec y;
+  ThreadPool one(1);
+  for (auto _ : state) {
+    a.multiply_transpose(x, y, &one);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["nnz"] = static_cast<double>(a.nnz());
+}
+BENCHMARK(BM_CsrMultiplyTranspose)->Arg(1000)->Arg(100000);
 
 void BM_Extract(benchmark::State& state) {
   flow::DesignContext& ctx = small_ctx();

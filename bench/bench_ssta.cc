@@ -20,12 +20,15 @@
 // A final leg runs the DMopt yield-percentile mode end to end
 // (--yield-target): the run must finish with an MC-verified yield at or
 // above the target, or a logged rollback that marks the result degraded.
-// Everything lands in BENCH_ssta.json, stamped with nproc and the process
-// pool's lane count (DOSEOPT_THREADS); any violation exits non-zero.
+// Everything lands in BENCH_ssta.json, stamped with nproc, the process
+// pool's lane count (DOSEOPT_THREADS), the build type and the revision
+// named by $DOSEOPT_GIT_SHA ("unknown" when unset); any violation exits
+// non-zero.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -195,12 +198,15 @@ int main() {
   const bool headline_ok = headline_err < headline_tol;
   const bool ratio_ok = traversal_ratio >= 100.0;
 
+  const char* git_sha = std::getenv("DOSEOPT_GIT_SHA");
   if (std::FILE* f = std::fopen("BENCH_ssta.json", "w")) {
     std::fprintf(f,
                  "{\n"
                  "  \"design\": \"aes65\",\n"
                  "  \"nproc\": %u,\n"
                  "  \"threads\": %d,\n"
+                 "  \"build_type\": \"%s\",\n"
+                 "  \"git_sha\": \"%s\",\n"
                  "  \"cells\": %zu,\n"
                  "  \"endpoints\": %zu,\n"
                  "  \"mc_samples\": %d,\n"
@@ -218,7 +224,8 @@ int main() {
                  "  \"yield_err_p99\": %.4f,\n"
                  "  \"frontier\": [\n",
                  std::thread::hardware_concurrency(),
-                 ThreadPool::global().lane_count(),
+                 ThreadPool::global().lane_count(), DOSEOPT_BUILD_TYPE,
+                 git_sha != nullptr ? git_sha : "unknown",
                  ctx.netlist().cell_count(), sr.endpoints.size(), mc_samples,
                  mc_s, mc_traversals, ssta_s, ssta_traversals,
                  traversal_ratio, mc.mean_mct_ns, mc.std_mct_ns,

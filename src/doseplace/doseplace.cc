@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 
 #include "common/error.h"
 #include "place/bbox.h"
@@ -292,12 +293,14 @@ DosePlResult DosePlacer::run(const dose::DoseMap& poly_map,
       grid_cells_dirty = true;  // legalized locations stay
       paths_stale = true;
     } else {
-      // Roll back: restore every location, re-extract, re-assign, and
-      // re-sync the timing state against the restored parasitics.  The
-      // path set stays valid (see above).
+      // Roll back: restore every location, re-assign, and re-sync the
+      // timing state against the restored parasitics.  Extraction is a
+      // pure function of the placement, so the pre-ECO parasitics are
+      // exactly what re-extracting the restored placement would give:
+      // swap them back instead.  The path set stays valid (see above).
       for (const SavedLoc& s : saved) placement_->set_location(s.cell, s.loc);
-      before_eco = *parasitics_;
-      *parasitics_ = extract::extract(*placement_, repo_->device().node());
+      std::swap(before_eco, *parasitics_);
+      ++result.rounds_rolled_back;
       reassign_variants(poly_map, active_map, variants);
       timer_->update(timing_state, variants,
                      changed_parasitic_nets(before_eco, *parasitics_));

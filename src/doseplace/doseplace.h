@@ -37,6 +37,7 @@ struct DosePlOptions {
 struct DosePlResult {
   int rounds_run = 0;
   int rounds_accepted = 0;
+  int rounds_rolled_back = 0;  ///< rounds whose swaps did not improve MCT
   int swaps_accepted = 0;
   double initial_mct_ns = 0.0;
   double final_mct_ns = 0.0;

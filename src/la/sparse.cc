@@ -86,20 +86,58 @@ void CsrMatrix::build_transpose() {
   }
 }
 
+namespace {
+
+/// y[r] = sum_k val[k] * x[idx[k]] over k in [ptr[r], ptr[r + 1]) for the
+/// `n` compressed rows at `ptr`, each summed in ascending k.  Serially,
+/// four rows are in flight at once: four independent add chains hide the
+/// add latency, and every row still adds its own products in k order, so
+/// each y[r] is bit-equal to a one-row-at-a-time loop.
+void row_sums(const std::size_t* ptr, const std::uint32_t* idx,
+              const double* val, const double* x, double* y, std::size_t n) {
+  std::size_t r = 0;
+  for (; r + 4 <= n; r += 4) {
+    std::size_t k0 = ptr[r], k1 = ptr[r + 1], k2 = ptr[r + 2],
+                k3 = ptr[r + 3];
+    const std::size_t e0 = k1, e1 = k2, e2 = k3, e3 = ptr[r + 4];
+    const std::size_t common = std::min({e0 - k0, e1 - k1, e2 - k2, e3 - k3});
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (std::size_t j = 0; j < common; ++j) {
+      s0 += val[k0 + j] * x[idx[k0 + j]];
+      s1 += val[k1 + j] * x[idx[k1 + j]];
+      s2 += val[k2 + j] * x[idx[k2 + j]];
+      s3 += val[k3 + j] * x[idx[k3 + j]];
+    }
+    for (k0 += common; k0 < e0; ++k0) s0 += val[k0] * x[idx[k0]];
+    for (k1 += common; k1 < e1; ++k1) s1 += val[k1] * x[idx[k1]];
+    for (k2 += common; k2 < e2; ++k2) s2 += val[k2] * x[idx[k2]];
+    for (k3 += common; k3 < e3; ++k3) s3 += val[k3] * x[idx[k3]];
+    y[r] = s0;
+    y[r + 1] = s1;
+    y[r + 2] = s2;
+    y[r + 3] = s3;
+  }
+  for (; r < n; ++r) {
+    double s = 0.0;
+    for (std::size_t k = ptr[r]; k < ptr[r + 1]; ++k) s += val[k] * x[idx[k]];
+    y[r] = s;
+  }
+}
+
+}  // namespace
+
 void CsrMatrix::multiply(const Vec& x, Vec& y, ThreadPool* pool) const {
   DOSEOPT_CHECK(x.size() == cols_, "multiply: x size mismatch");
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
   y.assign(rows_, 0.0);
-  auto row_kernel = [&](std::size_t r) {
-    double s = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      s += val_[k] * x[col_idx_[k]];
-    y[r] = s;
-  };
   if (use_pool(2 * val_.size(), tp)) {
-    tp.parallel_for(rows_, row_kernel);
+    tp.parallel_for(rows_, [&](std::size_t r) {
+      row_sums(&row_ptr_[r], col_idx_.data(), val_.data(), x.data(), &y[r],
+               1);
+    });
   } else {
-    for (std::size_t r = 0; r < rows_; ++r) row_kernel(r);
+    row_sums(row_ptr_.data(), col_idx_.data(), val_.data(), x.data(),
+             y.data(), rows_);
   }
 }
 
@@ -108,16 +146,14 @@ void CsrMatrix::multiply_transpose(const Vec& x, Vec& y,
   DOSEOPT_CHECK(x.size() == rows_, "multiply_transpose: x size mismatch");
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
   y.assign(cols_, 0.0);
-  auto col_kernel = [&](std::size_t c) {
-    double s = 0.0;
-    for (std::size_t k = tr_ptr_[c]; k < tr_ptr_[c + 1]; ++k)
-      s += tr_val_[k] * x[tr_row_[k]];
-    y[c] = s;
-  };
   if (use_pool(2 * val_.size(), tp)) {
-    tp.parallel_for(cols_, col_kernel);
+    tp.parallel_for(cols_, [&](std::size_t c) {
+      row_sums(&tr_ptr_[c], tr_row_.data(), tr_val_.data(), x.data(), &y[c],
+               1);
+    });
   } else {
-    for (std::size_t c = 0; c < cols_; ++c) col_kernel(c);
+    row_sums(tr_ptr_.data(), tr_row_.data(), tr_val_.data(), x.data(),
+             y.data(), cols_);
   }
 }
 

@@ -193,9 +193,10 @@ class SstaTimer {
 
   /// Propagate canonical forms around the nominal assignment `base`.
   /// Exactly one scalar base pass (incremental off the held state) plus
-  /// one canonical-form traversal; the endpoint-panel integration then
-  /// fans out over `pool` (nullptr = the process pool).  The result is
-  /// bit-identical for any lane count.
+  /// one canonical-form traversal, level by level, with wide levels fanned
+  /// out over `pool` (nullptr = the process pool); the endpoint-panel
+  /// integration fans out over the same pool.  The result is bit-identical
+  /// for any lane count.
   SstaResult analyze(const sta::VariantAssignment& base,
                      ThreadPool* pool = nullptr) const;
 
@@ -222,6 +223,12 @@ class SstaTimer {
   // MC cross-validation passes pay incremental cost.
   mutable sta::TimingState base_state_;
   mutable sta::TimingState mc_state_;
+
+  // Level schedule of the form propagation, CSR over levels: the cells of
+  // level l are level_cells_[level_ptr_[l] .. level_ptr_[l + 1]), and each
+  // reads only forms written on lower levels.
+  std::vector<std::size_t> level_ptr_;
+  std::vector<netlist::CellId> level_cells_;
 };
 
 }  // namespace doseopt::ssta

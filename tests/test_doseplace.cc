@@ -2,6 +2,8 @@
 // degrades, the placement stays legal, and the filters are honored.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 
 #include "dmopt/dmopt.h"
@@ -122,6 +124,59 @@ TEST(DosePlWidth, LeakageFilterPricesTheActiveVariants) {
   EXPECT_EQ(r.swaps_accepted, 8);
   EXPECT_LE(r.final_mct_ns, r.initial_mct_ns + 1e-9);
   EXPECT_TRUE(ctx.placement().is_legal());
+}
+
+TEST(DosePlRollback, RestoredParasiticsEqualAFreshExtraction) {
+  // A rolled-back round swaps the pre-ECO parasitics back in instead of
+  // re-extracting the restored placement.  Runs with more rounds extend
+  // runs with fewer, so the first round count that rolls anything back
+  // ends on that rollback; its parasitics must equal a fresh extraction
+  // field for field.
+  flow::DesignContext ctx(gen::aes65_spec().scaled(0.05));
+  dmopt::DmoptOptions dm_opt;
+  dm_opt.grid_um = 10.0;
+  dmopt::DoseMapOptimizer optimizer(
+      &ctx.netlist(), &ctx.placement(), &ctx.parasitics(), &ctx.repo(),
+      &ctx.coefficients(false), &ctx.timer(), &ctx.nominal_timing(), dm_opt);
+  const dmopt::DmoptResult dm = optimizer.minimize_cycle_time();
+  const place::Placement placement0 = ctx.placement();
+  const extract::Parasitics parasitics0 = ctx.parasitics();
+
+  bool rolled_back = false;
+  for (int rounds = 1; rounds <= 8 && !rolled_back; ++rounds) {
+    ctx.placement() = placement0;
+    ctx.parasitics() = parasitics0;
+    sta::VariantAssignment variants = dm.variants;
+    DosePlOptions opt;
+    opt.rounds = rounds;
+    opt.top_k_paths = 500;
+    opt.max_swaps_per_round = 4;
+    DosePlacer placer(&ctx.netlist(), &ctx.placement(), &ctx.parasitics(),
+                      &ctx.repo(), &ctx.timer(), opt);
+    const DosePlResult r = placer.run(dm.poly_map, nullptr, variants);
+    if (r.rounds_rolled_back == 0) continue;
+    rolled_back = true;
+    SCOPED_TRACE("rounds=" + std::to_string(rounds));
+    ASSERT_EQ(r.rounds_rolled_back, 1);
+    ASSERT_EQ(r.rounds_run, rounds);
+
+    const extract::Parasitics fresh =
+        extract::extract(ctx.placement(), ctx.node());
+    ASSERT_EQ(ctx.parasitics().net_count(), fresh.net_count());
+    for (std::size_t n = 0; n < fresh.net_count(); ++n) {
+      const auto id = static_cast<netlist::NetId>(n);
+      EXPECT_EQ(ctx.parasitics().net(id).length_um, fresh.net(id).length_um)
+          << "net " << n;
+      EXPECT_EQ(ctx.parasitics().net(id).wire_cap_ff, fresh.net(id).wire_cap_ff)
+          << "net " << n;
+      EXPECT_EQ(ctx.parasitics().net(id).wire_res_kohm,
+                fresh.net(id).wire_res_kohm)
+          << "net " << n;
+    }
+    // The restored state times like the best state the run reports.
+    EXPECT_NEAR(ctx.timer().analyze(variants).mct_ns, r.final_mct_ns, 1e-9);
+  }
+  EXPECT_TRUE(rolled_back) << "no round rolled back within 8 rounds";
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -125,6 +126,52 @@ TripletMatrix irregular_triplets(std::size_t rows, std::size_t cols,
     }
   }
   return t;
+}
+
+TEST(Sparse, ProductsBitEqualNaiveRowLoops) {
+  // The serial products interleave four rows; each output must still be
+  // the one-row-at-a-time sum in ascending k.  Row counts 0-9 cover every
+  // remainder mod 4 and matrices shorter than one group; 1001 rows put
+  // empty, short and long rows side by side inside the groups.
+  for (const std::size_t rows : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1001}) {
+    for (const std::size_t cols : {1, 7, 64}) {
+      SCOPED_TRACE("rows=" + std::to_string(rows) +
+                   " cols=" + std::to_string(cols));
+      Rng rng(rows * 31 + cols);
+      TripletMatrix t(rows, cols);
+      for (std::size_t r = 0; r < rows; ++r) {
+        // 0-12 entries before duplicates merge; every seventh row empty.
+        const std::size_t count = r % 7 == 3 ? 0 : rng.uniform_index(13);
+        for (std::size_t k = 0; k < count; ++k)
+          t.add(r, rng.uniform_index(cols), rng.uniform(-3.0, 3.0));
+      }
+      const CsrMatrix a(t);
+      Vec x(cols), u(rows);
+      for (double& v : x) v = rng.uniform(-2.0, 2.0);
+      for (double& v : u) v = rng.uniform(-2.0, 2.0);
+
+      Vec ax_ref(rows, 0.0), atu_ref(cols, 0.0);
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k)
+          ax_ref[r] += a.values()[k] * x[a.col_idx()[k]];
+      // A^T u gathers each column's entries in ascending row order.
+      for (std::size_t c = 0; c < cols; ++c)
+        for (std::size_t r = 0; r < rows; ++r)
+          for (std::size_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k)
+            if (a.col_idx()[k] == c) atu_ref[c] += a.values()[k] * u[r];
+
+      // All of these sit below the fan-out threshold: the serial path.
+      Vec ax, atu;
+      a.multiply(x, ax);
+      a.multiply_transpose(u, atu);
+      ASSERT_EQ(ax.size(), rows);
+      ASSERT_EQ(atu.size(), cols);
+      for (std::size_t r = 0; r < rows; ++r)
+        EXPECT_EQ(ax[r], ax_ref[r]) << "row " << r;
+      for (std::size_t c = 0; c < cols; ++c)
+        EXPECT_EQ(atu[c], atu_ref[c]) << "col " << c;
+    }
+  }
 }
 
 TEST(Sparse, GramMatchesDenseProduct) {

@@ -14,9 +14,10 @@
 //     quantization sigma);
 //   * the endpoint panel's quantiles of a single Gaussian form against
 //     mean + sigma * Phi^-1(p), within sampling error;
-//   * bitwise determinism when many SstaTimers analyze concurrently at
-//     1/2/8 threads, and of the pooled endpoint panel under 1/2/4-lane
-//     pools, pinned by checksum.
+//   * bitwise determinism of the level-scheduled propagation and pooled
+//     panel under 1/2/4/8-lane pools and when as many SstaTimers analyze
+//     concurrently (AES, chain and random reconvergent netlists), and of
+//     the endpoint panel under 1/2/4-lane pools, pinned by checksum.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -499,34 +501,72 @@ void expect_same_result(const SstaResult& a, const SstaResult& b) {
   EXPECT_TRUE(a.mct_samples == b.mct_samples);
 }
 
-TEST(SstaTimerTest, BitwiseDeterministicAcrossThreadCounts) {
-  flow::DesignContext ctx(gen::aes65_spec().scaled(0.02));
-  const liberty::CoefficientSet& coeffs = ctx.coefficients(false);
-  variation::VariationModel model;
-  sta::VariantAssignment base(ctx.netlist().cell_count());
-
-  const SstaTimer reference(&ctx.timer(), &ctx.placement(), &coeffs, model);
-  const SstaResult ref = reference.analyze(base);
+/// Every lane count must reproduce the one-lane reference bit for bit,
+/// both as a pool behind one SstaTimer (level-parallel form propagation and
+/// pooled panel) and as concurrent SstaTimers sharing the process pool (the
+/// documented one-SstaTimer-per-lane contract).
+void expect_deterministic_across_lanes(const sta::Timer& timer,
+                                       const place::Placement& placement,
+                                       const liberty::CoefficientSet& coeffs,
+                                       const sta::VariantAssignment& base) {
+  const variation::VariationModel model;
+  const SstaTimer reference(&timer, &placement, &coeffs, model);
+  ThreadPool serial(1);
+  const SstaResult ref = reference.analyze(base, &serial);
   ASSERT_TRUE(ref.healthy);
 
-  // One SstaTimer per lane (the documented concurrency contract); every
-  // lane's result must equal the single-threaded reference bit-for-bit,
-  // whatever the lane count.
-  for (const int threads : {1, 2, 8}) {
-    std::vector<SstaResult> results(threads);
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (int t = 0; t < threads; ++t)
-      pool.emplace_back([&, t] {
-        const SstaTimer lane(&ctx.timer(), &ctx.placement(), &coeffs, model);
+  for (const int lanes : {1, 2, 4, 8}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    ThreadPool pool(lanes);
+    expect_same_result(ref, reference.analyze(base, &pool));
+
+    std::vector<SstaResult> results(lanes);
+    std::vector<std::thread> threads;
+    threads.reserve(lanes);
+    for (int t = 0; t < lanes; ++t)
+      threads.emplace_back([&, t] {
+        const SstaTimer lane(&timer, &placement, &coeffs, model);
         results[t] = lane.analyze(base);
       });
-    for (std::thread& th : pool) th.join();
-    for (int t = 0; t < threads; ++t) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " lane=" +
-                   std::to_string(t));
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < lanes; ++t) {
+      SCOPED_TRACE("concurrent timer " + std::to_string(t));
       expect_same_result(ref, results[t]);
     }
+  }
+}
+
+TEST(SstaTimerTest, BitwiseDeterministicAcrossThreadCounts) {
+  {
+    SCOPED_TRACE("aes65 2 %");
+    flow::DesignContext ctx(gen::aes65_spec().scaled(0.02));
+    expect_deterministic_across_lanes(
+        ctx.timer(), ctx.placement(), ctx.coefficients(false),
+        sta::VariantAssignment(ctx.netlist().cell_count()));
+  }
+  {
+    // One cell per level: every level propagates inline.
+    SCOPED_TRACE("chain");
+    testing_support::TinyDesign d = testing_support::make_chain_design(8);
+    const sta::Timer timer(d.netlist.get(), &d.parasitics, d.repo.get());
+    const liberty::CoefficientSet coeffs(*d.repo, /*fit_width=*/false);
+    expect_deterministic_across_lanes(
+        timer, *d.placement, coeffs,
+        sta::VariantAssignment(d.netlist->cell_count()));
+  }
+  for (const std::uint64_t seed : {21u, 22u}) {
+    // Random reconvergent netlists around a randomized base assignment.
+    SCOPED_TRACE("random netlist seed " + std::to_string(seed));
+    gen::DesignSpec spec = gen::aes65_spec().scaled(0.012);
+    spec.seed = seed;
+    flow::DesignContext ctx(spec);
+    Rng rng(seed + 100);
+    sta::VariantAssignment base(ctx.netlist().cell_count());
+    for (std::size_t c = 0; c < base.size(); ++c)
+      base.set(static_cast<netlist::CellId>(c), rng.uniform_int(7, 13),
+               liberty::kVariantsPerLayer / 2);
+    expect_deterministic_across_lanes(ctx.timer(), ctx.placement(),
+                                      ctx.coefficients(false), base);
   }
 }
 
