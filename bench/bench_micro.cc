@@ -4,16 +4,19 @@
 // SSTA analysis, serial CSR products, QP solves, parasitic extraction, and
 // the complete DMopt QP on a small design.
 //
-// Besides the google-benchmark console output, main() hand-times the four
-// kernels the perf trajectory is tracked on -- full STA, incremental STA
-// after a 2-cell swap, a QP solve, and one library characterization -- and
-// writes them as ns/op to BENCH_micro.json so future changes can diff
-// machine-readable numbers.  The STA pair runs at full Table-I AES-65
-// scale (the incremental-speedup acceptance point).
+// Besides the google-benchmark console output, a run without
+// --benchmark_filter first hand-times the four kernels the perf trajectory
+// is tracked on -- full STA, incremental STA after a 2-cell swap, a QP
+// solve, and one library characterization -- and writes them as ns/op to
+// BENCH_micro.json so future changes can diff machine-readable numbers.
+// The STA pair runs at full Table-I AES-65 scale (the incremental-speedup
+// acceptance point).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string_view>
 
 #include "dmopt/dmopt.h"
 #include "flow/context.h"
@@ -384,8 +387,15 @@ void write_sta_json(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  write_bench_json("BENCH_micro.json");
-  write_sta_json("BENCH_sta.json");
+  // The full-scale pass takes about a minute; a filtered run times only
+  // the benchmarks it names.
+  const bool filtered = std::any_of(argv + 1, argv + argc, [](const char* a) {
+    return std::string_view(a).starts_with("--benchmark_filter");
+  });
+  if (!filtered) {
+    write_bench_json("BENCH_micro.json");
+    write_sta_json("BENCH_sta.json");
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -4,11 +4,15 @@
 //   QCP: minimize cycle time under a no-leakage-increase constraint --
 // at three grid granularities (5x5, 10x10, and 30x30 um^2 for 65 nm /
 // 50x50 um^2 for 90 nm), smoothness bound delta = 2, correction range +/-5%.
+//
+// Exits 1 when a QP row breaks the paper's "no timing degradation" bound:
+// golden MCT above nominal by more than the retarget tolerance.
 #include <cstdio>
 
 #include "bench_util.h"
 #include "common/table.h"
 #include "dmopt/dmopt.h"
+#include "dmopt/retarget.h"
 
 using namespace doseopt;
 
@@ -35,6 +39,7 @@ int main() {
   };
 
   int design_idx = 0;
+  int bound_broken = 0;
   for (const gen::DesignSpec& base : gen::table1_specs()) {
     const gen::DesignSpec spec = flow::scaled_spec(base);
     const bool is90 = spec.tech == "90nm";
@@ -59,6 +64,12 @@ int main() {
           &coeffs, &ctx.timer(), &ctx.nominal_timing(), opt);
 
       const dmopt::DmoptResult qp = optimizer.minimize_leakage();
+      const double over_ns = qp.golden_mct_ns - mct0;
+      if (over_ns > dmopt::retarget_tolerance_ns(mct0)) {
+        std::printf("FAIL: %s QP at %.0f um ends %.1f ps above nominal\n",
+                    spec.name.c_str(), grids[gi], 1e3 * over_ns);
+        ++bound_broken;
+      }
       t.add_row({fmt_f(grids[gi], 0), "QP", fmt_f(qp.golden_mct_ns, 3),
                  fmt_f(bench::improvement_pct(mct0, qp.golden_mct_ns), 2),
                  "-",
@@ -86,5 +97,9 @@ int main() {
       "\nExpected trends (paper): finer grids -> larger improvements; "
       "90 nm designs improve more than 65 nm (fewer cells per grid, fewer "
       "near-critical paths).\n");
+  if (bound_broken > 0) {
+    std::printf("FAIL: %d QP row(s) above the timing bound\n", bound_broken);
+    return 1;
+  }
   return 0;
 }

@@ -516,6 +516,18 @@ DmoptResult DoseMapOptimizer::finalize(const SolveOutcome& outcome,
   return result;
 }
 
+TauRetarget DoseMapOptimizer::make_retarget(double tau_target) const {
+  // The search starts at the bound itself (or the zero-dose model MCT when
+  // that is tighter) and never tightens past the largest uniform dose.
+  const double tau_floor =
+      model_mct_uniform(options_.dose_upper_pct,
+                        options_.modulate_width ? options_.dose_lower_pct
+                                                : 0.0);
+  return TauRetarget(std::min(tau_target, model_mct_uniform(0.0, 0.0)),
+                     tau_floor, tau_target, tau_target,
+                     retarget_tolerance_ns(tau_target));
+}
+
 DmoptResult DoseMapOptimizer::minimize_leakage(double timing_bound_ns) {
   if (options_.yield_target > 0.0)
     return minimize_leakage_yield(timing_bound_ns);
@@ -526,35 +538,19 @@ DmoptResult DoseMapOptimizer::minimize_leakage(double timing_bound_ns) {
   WorkingSet working_set;
   telemetry_ = CutTelemetry();
 
-  // Golden-corrected outer loop: the fitted linear delay model ignores slew
-  // propagation and load coupling (as the paper's does), so the model bound
-  // is tightened by the observed golden-signoff gap until the golden MCT
-  // meets the target.
-  double tau_model = std::min(tau_target, model_mct_uniform(0.0, 0.0));
-  const double tau_floor =
-      model_mct_uniform(options_.dose_upper_pct,
-                        options_.modulate_width ? options_.dose_lower_pct
-                                                : 0.0);
-  SolveOutcome outcome;
-  int probes = 0;
-  const double tol_ns = std::max(5e-4, 0.001 * tau_target);
-  for (int it = 0; it < 8; ++it) {
-    outcome = solve_leakage_qp(tau_model, working_set);
-    ++probes;
+  // Golden-corrected outer loop: the model bound is retargeted by the
+  // golden-signoff gap of each probe (retarget.h).
+  TauRetarget retarget = make_retarget(tau_target);
+  std::vector<SolveOutcome> outcomes;
+  const std::size_t pick = retarget.search([&](double tau) {
+    outcomes.push_back(solve_leakage_qp(tau, working_set));
     double golden_mct = 0.0, golden_leak = 0.0;
-    golden_eval(outcome, &golden_mct, &golden_leak);
-    const double gap = golden_mct - tau_target;
-    if (gap > tol_ns && tau_model > tau_floor) {
-      tau_model = std::max(tau_floor, tau_model - gap);
-    } else if (gap < -2.0 * tol_ns && tau_model < tau_target) {
-      // Overshot: recover leakage headroom by relaxing the model bound.
-      tau_model = std::min(tau_target, tau_model - 0.6 * gap);
-    } else {
-      break;
-    }
-  }
+    golden_eval(outcomes.back(), &golden_mct, &golden_leak);
+    return golden_mct;
+  });
 
-  DmoptResult result = finalize(outcome, probes);
+  DmoptResult result =
+      finalize(outcomes[pick], static_cast<int>(outcomes.size()));
   result.telemetry = telemetry_;
   result.runtime_s = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
@@ -579,18 +575,6 @@ DmoptResult DoseMapOptimizer::minimize_leakage_yield(double timing_bound_ns) {
   ssta::SstaTimer ssta_timer(timer_, placement_, coeffs_,
                              options_.yield_variation);
 
-  // Cutting-plane loop as in the mean-targeted path, but the golden-
-  // correction gap is the ANALYTIC p-quantile of the MCT distribution vs
-  // tau_target, so the dose recipe tightens until the distribution -- not
-  // just its mean -- fits under the bound.
-  double tau_model = std::min(tau_target, model_mct_uniform(0.0, 0.0));
-  const double tau_floor =
-      model_mct_uniform(options_.dose_upper_pct,
-                        options_.modulate_width ? options_.dose_lower_pct
-                                                : 0.0);
-  SolveOutcome outcome;
-  int probes = 0;
-  const double tol_ns = std::max(5e-4, 0.001 * tau_target);
   // Healthy SSTA analyses memoized by snapped assignment: analyze() is a
   // pure function of it, so a probe or a verification that revisits an
   // assignment reuses the two numbers the loop reads.  Unhealthy results
@@ -612,39 +596,38 @@ DmoptResult DoseMapOptimizer::minimize_leakage_yield(double timing_bound_ns) {
     analyzed.emplace_back(va, point);
     return point;
   };
-  for (int it = 0; it < 8; ++it) {
-    outcome = solve_leakage_qp(tau_model, working_set);
-    ++probes;
-    const std::optional<SstaPoint> sp = ssta_point(snap_variants(outcome));
-    double gap;
-    if (sp) {
-      gap = sp->tau_at_yield - tau_target;
-    } else {
-      // Poisoned forms (fault injection): steer on the golden mean this
-      // round; the MC verification below still enforces the target.
-      double golden_mct = 0.0, golden_leak = 0.0;
-      golden_eval(outcome, &golden_mct, &golden_leak);
-      gap = golden_mct - tau_target;
-    }
-    if (gap > tol_ns && tau_model > tau_floor) {
-      tau_model = std::max(tau_floor, tau_model - gap);
-    } else if (gap < -2.0 * tol_ns && tau_model < tau_target) {
-      tau_model = std::min(tau_target, tau_model - 0.6 * gap);
-    } else {
-      break;
-    }
-  }
 
-  // Golden MC verification with tightening rollbacks: when the sampled
-  // yield misses the target, retighten the model bound by the empirical
-  // p-quantile overshoot and re-solve (bounded; every re-solve reuses the
-  // warm working set).
+  // The retarget of the mean-targeted path, but each probe's signoff value
+  // is the ANALYTIC p-quantile of the MCT distribution, so the dose recipe
+  // tightens until the distribution -- not just its mean -- fits under the
+  // bound.
+  TauRetarget retarget = make_retarget(tau_target);
+  std::vector<SolveOutcome> outcomes;
+  const auto measure = [&](double tau) {
+    outcomes.push_back(solve_leakage_qp(tau, working_set));
+    if (const std::optional<SstaPoint> sp =
+            ssta_point(snap_variants(outcomes.back())))
+      return sp->tau_at_yield;
+    // Poisoned forms (fault injection): steer on the golden mean this
+    // probe; the MC verification below still enforces the target.
+    double golden_mct = 0.0, golden_leak = 0.0;
+    golden_eval(outcomes.back(), &golden_mct, &golden_leak);
+    return golden_mct;
+  };
+  std::size_t pick = retarget.search(measure);
+
+  // Golden MC verification with calibrated rollbacks: when the sampled
+  // yield misses the target, the MC p-quantile of the finalized recipe
+  // exceeds its analytic one by the model's error there.  The analytic
+  // target moves down by that error (at least tol) and the search replays
+  // from its first probe with every probe already made (bounded; stored
+  // probes and the SSTA memo make revisits free).
   variation::YieldAnalyzer verifier(nl_, placement_, repo_, timer_,
                                     options_.yield_variation);
   DmoptResult result;
   int rollbacks = 0;
   for (;;) {
-    result = finalize(outcome, probes);
+    result = finalize(outcomes[pick], static_cast<int>(outcomes.size()));
     std::optional<SstaPoint> sp = ssta_point(result.variants);
     if (!sp) sp = ssta_point(result.variants);  // once-faults
     const variation::YieldResult mc = verifier.analyze(result.variants);
@@ -653,8 +636,7 @@ DmoptResult DoseMapOptimizer::minimize_leakage_yield(double timing_bound_ns) {
     result.mc_yield = mc.yield_at(tau_target);
     result.ssta_yield = sp ? sp->yield : result.mc_yield;
     result.yield_rollbacks = rollbacks;
-    if (result.mc_yield >= p || rollbacks >= 3 || tau_model <= tau_floor)
-      break;
+    if (result.mc_yield >= p || rollbacks >= 3) break;
 
     std::vector<double> mcts;
     mcts.reserve(mc.dies.size());
@@ -665,13 +647,18 @@ DmoptResult DoseMapOptimizer::minimize_leakage_yield(double timing_bound_ns) {
         n, std::max<std::size_t>(
                1, static_cast<std::size_t>(
                       std::ceil(p * static_cast<double>(n)))));
-    double gap = mcts[k - 1] - tau_target;  // empirical p-quantile overshoot
-    if (!(gap > tol_ns)) gap = tol_ns;      // sampling noise: still tighten
-    tau_model = std::max(tau_floor, tau_model - gap);
-    outcome = solve_leakage_qp(tau_model, working_set);
-    ++probes;
+    const double q_mc = mcts[k - 1];  // empirical p-quantile
+    const double q_model =
+        sp ? sp->tau_at_yield : retarget.probes()[pick].value_ns;
+    retarget.reject(pick, std::max(retarget_tolerance_ns(tau_target),
+                                   q_mc - q_model));
+    const std::size_t next = retarget.search(measure);
+    // Pinned at the floor with nothing feasible left: no tighter recipe.
+    if (retarget.probes()[next].rejected) break;
+    pick = next;
     ++rollbacks;
   }
+  result.bisection_probes = static_cast<int>(outcomes.size());
   result.ssta_analyses = analyses;
   if (result.mc_yield < p) {
     result.degraded = true;

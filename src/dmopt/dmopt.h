@@ -34,6 +34,7 @@
 #include <unordered_set>
 
 #include "dmopt/incremental_problem.h"
+#include "dmopt/retarget.h"
 #include "dose/dose_map.h"
 #include "liberty/coeff_fit.h"
 #include "qp/qp_solver.h"
@@ -64,7 +65,7 @@ struct DmoptOptions {
   /// not the nominal golden MCT -- at the timing bound: the cutting-plane
   /// loop retargets the model tau by the analytic yield gap, and the
   /// accepted recipe is verified against golden Monte-Carlo re-timing with
-  /// up to three tightening rollbacks when the sampled yield misses the
+  /// up to three calibrated rollbacks when the sampled yield misses the
   /// target (then flagged degraded, fallback = "yield_target_missed").
   double yield_target = 0.0;
   /// Variation model shared by the SSTA forms and the MC verifier.
@@ -148,7 +149,7 @@ struct DmoptResult {
   double yield_tau_ns = 0.0;   ///< tau the yields below are evaluated at
   double ssta_yield = 0.0;     ///< analytic P(MCT <= tau) of the recipe
   double mc_yield = 0.0;       ///< golden Monte-Carlo yield of the recipe
-  int yield_rollbacks = 0;     ///< MC-triggered tightening re-solves
+  int yield_rollbacks = 0;     ///< MC-triggered re-entered searches
 };
 
 /// One timing-graph edge with its dose-independent delay contribution
@@ -233,6 +234,9 @@ class DoseMapOptimizer {
   void golden_eval(const SolveOutcome& outcome, double* mct_ns,
                    double* leakage_uw) const;
   DmoptResult finalize(const SolveOutcome& outcome, int probes) const;
+  /// Retarget search toward `tau_target`, between the largest-uniform-dose
+  /// model MCT and the bound itself.
+  TauRetarget make_retarget(double tau_target) const;
   /// minimize_leakage with options_.yield_target > 0: SSTA-retargeted
   /// cutting-plane loop + golden MC verification/rollback.
   DmoptResult minimize_leakage_yield(double timing_bound_ns);

@@ -25,8 +25,10 @@
 
 namespace doseopt::serde {
 
-/// Current result-record format version.
-inline constexpr std::uint32_t kResultStoreVersion = 1;
+/// Current result-record format version.  Version 2: leakage-mode
+/// results keep their timing bound (version-1 records may break it), so
+/// older records are set aside and re-solved.
+inline constexpr std::uint32_t kResultStoreVersion = 2;
 
 /// Path of the record for `key` inside `dir` ("<dir>/<key-hex>.res").
 std::string result_path(const std::string& dir, std::uint64_t key);

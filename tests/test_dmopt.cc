@@ -1,11 +1,20 @@
 // Integration tests for the core dose-map optimizer: the QP and QCP
 // formulations on a small generated design, equipment-constraint
-// feasibility, model consistency, the grid-granularity trend, and the
-// SSTA bookkeeping of the yield-target loop.
+// feasibility, model consistency, the grid-granularity trend, the tau
+// retarget search on synthetic gap functions and on designs where the
+// plain step rule oscillates, and the SSTA bookkeeping of the yield-target
+// loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <vector>
+
 #include "common/error.h"
+#include "common/rng.h"
 #include "dmopt/dmopt.h"
+#include "dmopt/retarget.h"
 #include "faultinject/fault.h"
 #include "flow/context.h"
 #include "ssta/ssta.h"
@@ -134,6 +143,186 @@ TEST_F(DmoptSmall, VariantsMatchDoseMap) {
     EXPECT_EQ(r.variants.get(id).first,
               liberty::dose_to_variant_index(r.poly_map.doses()[g]));
     EXPECT_EQ(r.variants.get(id).second, 10);  // active layer untouched
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The tau retarget search on synthetic signoff functions.
+
+/// The step rule without a bracket: tighten by the gap, relax by 0.6 x the
+/// gap, stop in band, at most kMaxRetargetProbes probes, and return the
+/// last probe.  Returns the probed taus.
+std::vector<double> plain_rule_taus(double start, double floor,
+                                    double ceiling, double target, double tol,
+                                    const std::function<double(double)>& f) {
+  std::vector<double> taus;
+  double tau = start;
+  for (int it = 0; it < kMaxRetargetProbes; ++it) {
+    taus.push_back(tau);
+    const double gap = f(tau) - target;
+    if (gap > tol && tau > floor) {
+      tau = std::max(floor, tau - gap);
+    } else if (gap < -2.0 * tol && tau < ceiling) {
+      tau = std::min(ceiling, tau - 0.6 * gap);
+    } else {
+      break;
+    }
+  }
+  return taus;
+}
+
+struct SearchRun {
+  std::vector<double> taus;
+  std::size_t pick = 0;
+};
+
+SearchRun run_search(TauRetarget& rt, const std::function<double(double)>& f) {
+  SearchRun run;
+  run.pick = rt.search([&](double tau) {
+    run.taus.push_back(tau);
+    return f(tau);
+  });
+  return run;
+}
+
+// Bounds shaped like AES-65 at 5 %: target 1.3929 ns, tol 1.39 ps, model
+// floor 1.20 ns.
+constexpr double kTarget = 1.392863;
+constexpr double kFloor = 1.20;
+const double kTol = retarget_tolerance_ns(kTarget);
+
+TEST(TauRetarget, SmoothMonotoneGapsMakeThePlainRulesProbes) {
+  for (const double slope : {0.3, 0.7, 1.0, 1.4, 1.9}) {
+    for (const double tau_star : {1.25, 1.29, 1.33}) {
+      // Monotone: a positive slope plus a cubic term.
+      const auto f = [&](double tau) {
+        const double d = tau - tau_star;
+        return kTarget + slope * d + 4.0 * d * d * d;
+      };
+      const std::vector<double> want =
+          plain_rule_taus(kTarget, kFloor, kTarget, kTarget, kTol, f);
+      TauRetarget rt(kTarget, kFloor, kTarget, kTarget, kTol);
+      const SearchRun got = run_search(rt, f);
+      EXPECT_EQ(got.taus, want) << "slope " << slope << " tau* " << tau_star;
+      const double last_gap = f(want.back()) - kTarget;
+      if (last_gap <= kTol && last_gap >= -2.0 * kTol) {
+        EXPECT_EQ(got.pick, want.size() - 1);
+      }
+    }
+  }
+}
+
+TEST(TauRetarget, JumpWiderThanTheBandReturnsTheFeasibleEnd) {
+  // The analytic quantile of AES-65 at 5 % jumps from -8.7 to +3.2 ps
+  // around tau = 1.2880 ns: no tau lands in the 4.2-ps band.
+  const double jump = 1.2880;
+  const auto f = [&](double tau) {
+    return kTarget + (tau - jump) + (tau < jump ? -8.7e-3 : 3.2e-3);
+  };
+  const std::vector<double> plain =
+      plain_rule_taus(kTarget, kFloor, kTarget, kTarget, kTol, f);
+  EXPECT_EQ(plain.size(), static_cast<std::size_t>(kMaxRetargetProbes));
+
+  TauRetarget rt(kTarget, kFloor, kTarget, kTarget, kTol);
+  const SearchRun got = run_search(rt, f);
+  EXPECT_LT(got.taus.size(), plain.size());
+  const TauProbe& pick = rt.probes()[got.pick];
+  EXPECT_LE(pick.value_ns - kTarget, kTol);
+  for (const TauProbe& p : rt.probes()) {
+    if (p.value_ns - kTarget <= kTol) {
+      EXPECT_LE(p.tau_ns, pick.tau_ns);
+    }
+  }
+}
+
+TEST(TauRetarget, NeverReturnsAnInfeasibleProbeWhileAFeasibleOneExists) {
+  // Random staircases: each step of tau shifts the signoff value by a
+  // random jump, up to 5x the band.
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng(seed);
+    const double width = rng.uniform(2e-4, 6e-3);
+    const double jump = rng.uniform(0.0, 20e-3);
+    const double tau_star = rng.uniform(1.22, 1.36);
+    const double slope = rng.uniform(0.2, 3.0);
+    const auto f = [&](double tau) {
+      const double step = std::floor((tau - tau_star) / width);
+      return kTarget + slope * step * width + jump * std::sin(step);
+    };
+    TauRetarget rt(kTarget, kFloor, kTarget, kTarget, kTol);
+    const SearchRun got = run_search(rt, f);
+    ASSERT_LE(got.taus.size(), static_cast<std::size_t>(kMaxRetargetProbes));
+    bool any_feasible = false;
+    for (const TauProbe& p : rt.probes()) {
+      EXPECT_GE(p.tau_ns, kFloor);
+      EXPECT_LE(p.tau_ns, kTarget);
+      any_feasible = any_feasible || p.value_ns - kTarget <= kTol;
+    }
+    if (any_feasible) {
+      EXPECT_LE(rt.probes()[got.pick].value_ns - kTarget, kTol)
+          << "seed " << seed;
+    }
+  }
+}
+
+TEST(TauRetarget, RejectedProbeIsNotReturnedAgain) {
+  // After a rejection the target moves down and the search replays from
+  // the start probe with every probe made so far.
+  const auto f = [](double tau) { return kTarget + (tau - 1.29); };
+  TauRetarget rt(kTarget, kFloor, kTarget, kTarget, kTol);
+  const SearchRun first = run_search(rt, f);
+  const std::size_t made = rt.probes().size();
+  rt.reject(first.pick, kTol);
+  const SearchRun second = run_search(rt, f);
+  EXPECT_NE(second.pick, first.pick);
+  EXPECT_FALSE(rt.probes()[second.pick].rejected);
+  EXPECT_LE(rt.probes()[second.pick].value_ns - (kTarget - kTol), kTol);
+  EXPECT_LT(rt.probes()[second.pick].tau_ns, rt.probes()[first.pick].tau_ns);
+  // The start probe is replayed, not measured again.
+  EXPECT_EQ(rt.probes().size(), made + second.taus.size());
+  for (const double tau : second.taus) EXPECT_NE(tau, kTarget);
+}
+
+// ---------------------------------------------------------------------------
+// Leakage mode on inputs where the plain step rule oscillated to its cap
+// and ended above the bound (+7.7 and +32.8 ps).
+
+void expect_bound_kept(const gen::DesignSpec& spec, double grid_um,
+                       double delta) {
+  flow::DesignContext ctx(spec);
+  DmoptOptions options;
+  options.grid_um = grid_um;
+  options.smoothness_delta = delta;
+  DoseMapOptimizer opt(&ctx.netlist(), &ctx.placement(), &ctx.parasitics(),
+                       &ctx.repo(), &ctx.coefficients(false), &ctx.timer(),
+                       &ctx.nominal_timing(), options);
+  const DmoptResult r = opt.minimize_leakage();
+  const double nominal = ctx.nominal_mct_ns();
+  EXPECT_LE(r.golden_mct_ns, nominal + retarget_tolerance_ns(nominal));
+  EXPECT_LT(r.bisection_probes, kMaxRetargetProbes);
+  EXPECT_LT(r.golden_leakage_uw, ctx.nominal_leakage_uw());
+}
+
+TEST(DmoptRetarget, Aes65LeakageModeKeepsItsTimingBound) {
+  expect_bound_kept(gen::aes65_spec().scaled(0.10), 12.5, 1.0);
+}
+
+TEST(DmoptRetarget, Jpeg65LeakageModeKeepsItsTimingBound) {
+  expect_bound_kept(gen::jpeg65_spec().scaled(0.028), 15.0, 1.0);
+}
+
+TEST(DmoptYieldTarget, MeetsTheTargetAcrossVariationSeeds) {
+  flow::DesignContext ctx(gen::aes65_spec().scaled(0.05));
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    DmoptOptions options;
+    options.grid_um = 10.0;
+    options.yield_target = 0.9;
+    options.yield_variation.seed = seed;
+    DoseMapOptimizer opt(&ctx.netlist(), &ctx.placement(), &ctx.parasitics(),
+                         &ctx.repo(), &ctx.coefficients(false), &ctx.timer(),
+                         &ctx.nominal_timing(), options);
+    const DmoptResult r = opt.minimize_leakage();
+    EXPECT_FALSE(r.degraded) << "seed " << seed << ": " << r.fallback;
+    EXPECT_GE(r.mc_yield, options.yield_target) << "seed " << seed;
   }
 }
 

@@ -100,7 +100,7 @@ TEST(DosePlWidth, LeakageFilterPricesTheActiveVariants) {
   // nominal 10.  The gamma4 filter prices each cell at its own poly and
   // active variant before the swap and at the other cell's after it (both
   // maps are per location).  Pricing every cell at active index 10, the
-  // rule this replaced, accepts 4 rounds and 16 swaps on this input.
+  // rule this replaced, accepts 2 rounds and 8 swaps on this input.
   flow::DesignContext ctx(gen::aes65_spec().scaled(0.03));
   dmopt::DmoptOptions dm_opt;
   dm_opt.grid_um = 10.0;
@@ -120,8 +120,8 @@ TEST(DosePlWidth, LeakageFilterPricesTheActiveVariants) {
   DosePlacer placer(&ctx.netlist(), &ctx.placement(), &ctx.parasitics(),
                     &ctx.repo(), &ctx.timer(), opt);
   const DosePlResult r = placer.run(dm.poly_map, &*dm.active_map, variants);
-  EXPECT_EQ(r.rounds_accepted, 2);
-  EXPECT_EQ(r.swaps_accepted, 8);
+  EXPECT_EQ(r.rounds_accepted, 3);
+  EXPECT_EQ(r.swaps_accepted, 12);
   EXPECT_LE(r.final_mct_ns, r.initial_mct_ns + 1e-9);
   EXPECT_TRUE(ctx.placement().is_legal());
 }

@@ -616,6 +616,56 @@ TEST(ServerE2E, ResultStoreDiskHitQuarantineAndLatencyHistograms) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ServerE2E, ResultStoreResolvesRecordsOfAnOlderVersion) {
+  // Version-1 stores may hold leakage-mode results that break their timing
+  // bound.  A record of an older version is set aside like a corrupt one,
+  // and the re-solve republishes it at the current version.
+  const std::string dir =
+      "/tmp/doseopt_test_resultversion_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  const JobSpec spec = mixed_jobs()[1];
+  const std::string record = serde::result_path(dir, spec.job_key());
+  serde::write_result(dir, spec.job_key(), "{\"stale\":true}");
+  {
+    // The u32 version follows the 8-byte magic, little-endian.
+    std::fstream f(record, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekp(8);
+    f.write("\x01\x00\x00\x00", 4);
+  }
+  EXPECT_THROW(serde::read_result(dir, spec.job_key()), doseopt::Error);
+
+  serve::ServerOptions options;
+  options.lanes = 1;
+  options.result_store_dir = dir;
+  options.uds_path = uds_path("version");
+  {
+    serve::Server server(options);
+    server.start();
+    serve::Client client =
+        serve::Client::connect_unix_path(options.uds_path);
+    const serve::Client::Reply reply = client.submit(spec);
+    ASSERT_TRUE(reply.ok()) << reply.payload.dump();
+    EXPECT_FALSE(reply.payload.get("cache").get_bool("result_hit", true));
+    EXPECT_EQ(normalized(reply.payload.get("result")).dump(),
+              reference_results().at(spec.id));
+    const Json m = server.metrics();
+    EXPECT_EQ(m.get("cache").get_number("result_quarantined", -1.0), 1.0);
+    server.stop();
+  }
+  EXPECT_TRUE(std::filesystem::exists(record + ".corrupt"));
+  char header[12];
+  std::ifstream is(record, std::ios::binary);
+  ASSERT_TRUE(is.read(header, sizeof(header)));
+  EXPECT_EQ(static_cast<unsigned char>(header[8]),
+            serde::kResultStoreVersion);
+  const auto republished = serde::read_result(dir, spec.job_key());
+  ASSERT_TRUE(republished.has_value());
+  EXPECT_EQ(normalized(Json::parse(*republished)).dump(),
+            reference_results().at(spec.id));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ServerE2E, ShutdownFrameTriggersGracefulDrain) {
   serve::ServerOptions options;
   options.uds_path = uds_path("drain");
