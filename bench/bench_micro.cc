@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical kernels:
 // library characterization, full STA, incremental STA, top-K path
-// enumeration, the polar normal sampler, the SSTA endpoint panel and whole
-// SSTA analysis, serial CSR products, QP solves, parasitic extraction, and
-// the complete DMopt QP on a small design.
+// enumeration (AES-65 at 10 % and full size), the polar normal sampler, the
+// SSTA endpoint panel and whole SSTA analysis, serial CSR products, QP
+// solves, parasitic extraction, and the complete DMopt QP on a small design.
 //
 // Besides the google-benchmark console output, a run without
 // --benchmark_filter first hand-times the four kernels the perf trajectory
@@ -100,8 +100,7 @@ void BM_StaIncrementalSwap(benchmark::State& state) {
 }
 BENCHMARK(BM_StaIncrementalSwap);
 
-void BM_TopPaths(benchmark::State& state) {
-  flow::DesignContext& ctx = small_ctx();
+void time_top_paths(benchmark::State& state, flow::DesignContext& ctx) {
   sta::VariantAssignment va(ctx.netlist().cell_count());
   const sta::TimingResult timing = ctx.timer().analyze(va);
   for (auto _ : state) {
@@ -110,7 +109,15 @@ void BM_TopPaths(benchmark::State& state) {
     benchmark::DoNotOptimize(paths.size());
   }
 }
+
+void BM_TopPaths(benchmark::State& state) { time_top_paths(state, small_ctx()); }
 BENCHMARK(BM_TopPaths)->Arg(100)->Arg(1000)->Arg(10000);
+
+// dosePl's call: K = 10 000 on full AES-65.
+void BM_TopPathsFull(benchmark::State& state) {
+  time_top_paths(state, aes_ctx());
+}
+BENCHMARK(BM_TopPathsFull)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 // One die's per-cell normals at full AES-65 scale: 5480 polar pairs per
 // call, the Monte-Carlo sampler's block size.

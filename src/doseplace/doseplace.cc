@@ -101,7 +101,8 @@ DosePlResult DosePlacer::run(const dose::DoseMap& poly_map,
   std::vector<SavedLoc> saved;
   saved.reserve(nl_->cell_count());
 
-  // The round's critical path set, sorted, with its eq. (13) weights.  A
+  // The round's critical path set with its eq. (13) weights, in top_paths'
+  // order: non-decreasing slack, equal delays in the canonical order.  A
   // rolled-back round restores every location exactly, and extraction,
   // variant assignment, timing and top_paths are pure functions of the
   // placement and the maps, so the set survives a rollback unchanged.
@@ -130,11 +131,6 @@ DosePlResult DosePlacer::run(const dose::DoseMap& poly_map,
         }
       }
 
-      // Paths in non-decreasing slack order (most critical first).
-      std::sort(paths.begin(), paths.end(),
-                [](const sta::TimingPath& a, const sta::TimingPath& b) {
-                  return a.slack_ns < b.slack_ns;
-                });
       paths_stale = false;
     }
     if (paths.empty()) break;

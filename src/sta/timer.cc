@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <iterator>
+#include <limits>
 
 #include "common/error.h"
 
@@ -490,9 +493,10 @@ std::vector<TimingPath> Timer::top_paths(const VariantAssignment& variants,
   const std::size_t cell_count = nl.cell_count();
   DOSEOPT_CHECK(timing.cells.size() == cell_count,
                 "top_paths: timing result mismatch");
+  if (k == 0) return {};
 
   // Per-cell resolved characterized cells (one variant-map lookup per
-  // library, not one per expansion).
+  // library, not one per visit).
   std::vector<const liberty::Library*> lib_cache(
       static_cast<std::size_t>(liberty::kVariantsPerLayer) *
           liberty::kVariantsPerLayer,
@@ -506,56 +510,75 @@ std::vector<TimingPath> Timer::top_paths(const VariantAssignment& variants,
     return lib->cell(nl.cell(c).master_index);
   };
 
-  // Flat per-call tables for the search loop: a contiguous arrival array,
-  // per-cell flags, and per-edge (driver, wire + gate delay) entries that a
-  // cell fills on its first expansion (most cells are never expanded, so a
-  // full fill up front costs more than it saves on the large designs).
-  constexpr std::uint8_t kSequential = 1;
-  constexpr std::uint8_t kEdgesFilled = 2;
-  std::vector<double> arrival(cell_count);
-  for (std::size_t ci = 0; ci < cell_count; ++ci)
-    arrival[ci] = timing.cells[ci].arrival_ns;
-  std::vector<std::uint8_t> flags(cell_count, 0);
-  for (CellId ci : seq_cells_) flags[ci] = kSequential;
-  struct EdgeStage {
-    double delay;  ///< wire delay into the cell + the cell's gate delay
+  auto arrival = [&](CellId c) { return timing.cells[c].arrival_ns; };
+
+  // In-options of each combinational cell: one per fanin edge from a driven
+  // net plus at most one primary-input launch (the largest PI stage), kept
+  // in the cell's fanin-edge slots.  Sorted by value, fanin order on ties,
+  // so option 0 is the critical in-edge.  The walk itself reads a cell's
+  // 32-byte Visit record: its arrival, its critical option and the value
+  // its best deviation loses.  Both are filled on the cell's
+  // first visit; most cells are never visited, so the option table is left
+  // uninitialized and its untouched pages cost nothing.
+  struct Option {
+    double value;   ///< arrival through the option: arrival[driver] + stage
+    double stage;   ///< wire delay into the cell + the cell's gate delay
+    CellId driver;  ///< kNoCell: primary-input launch
+  };
+  constexpr std::uint32_t kLaunch = std::numeric_limits<std::uint32_t>::max();
+  struct Visit {
+    double arrival;
+    double stage;   ///< of option 0
+    double delta;   ///< value of option 0 minus value of option 1
+    CellId driver;  ///< of option 0
+    std::uint32_t options;  ///< 0: not visited yet; kLaunch: a flop
+  };
+  const std::unique_ptr<Option[]> options(new Option[fanin_net_.size()]);
+  std::vector<Visit> visits(cell_count, Visit{});
+  auto visit = [&](CellId c) -> const Visit& {
+    Visit& v = visits[c];
+    if (v.options != 0) return v;
+    v.arrival = arrival(c);
+    if (nl.cell(c).sequential) {
+      v.options = kLaunch;
+      return v;
+    }
+    Option* const o = options.get() + fanin_ptr_[c];
+    const double cap = lib_cell(c).input_cap_ff;
+    const double gate = timing.cells[c].gate_delay_ns;
+    std::uint32_t n = 0;
+    double pi_stage = -1e30;
+    for (std::size_t e = fanin_ptr_[c]; e < fanin_ptr_[c + 1]; ++e) {
+      const NetId net = fanin_net_[e];
+      const double stage = parasitics_->wire_delay_ns(net, cap) + gate;
+      const CellId drv = nl.net(net).driver;
+      if (drv == kNoCell)
+        pi_stage = std::max(pi_stage, stage);
+      else
+        o[n++] = Option{arrival(drv) + stage, stage, drv};
+    }
+    if (pi_stage > -1e30) o[n++] = Option{pi_stage, pi_stage, kNoCell};
+    DOSEOPT_CHECK(n > 0, "top_paths: combinational cell without fanin");
+    std::stable_sort(o, o + n, [](const Option& a, const Option& b) {
+      return a.value > b.value;
+    });
+    v.stage = o[0].stage;
+    v.driver = o[0].driver;
+    v.delta = n > 1 ? o[0].value - o[1].value : 0.0;
+    v.options = n;
+    return v;
+  };
+
+  // Capture points: flop inputs from driven nets (ascending flop id, fanin
+  // order), then primary outputs.  A seed's bound is the first term of the
+  // delay recurrence.
+  struct Seed {
+    double bound;
     CellId driver;
+    CellId capture_cell;
+    NetId capture_net;
   };
-  std::vector<EdgeStage> edge_stage(fanin_net_.size());
-
-  // Best-first backward enumeration of K longest paths.  A partial path is
-  // anchored at some cell; its bound = arrival(cell) + suffix delay (cell
-  // output -> endpoint).  Since arrival is the exact longest prefix, bounds
-  // are admissible and paths complete in exact non-increasing delay order.
-  // Equal bounds leave the heap in the order its push/pop sequence gives
-  // them, so that sequence is part of the output: dosePl's unstable sort
-  // of this list sees the same ties only if it never changes.
-  struct Partial {
-    CellId cell;
-    std::int32_t parent;  ///< index into the arena, -1 at an endpoint
-    bool complete;        ///< true once the launch point has been reached
-  };
-  using Entry = std::pair<double, std::size_t>;  ///< (bound, arena index)
-  const auto by_bound = [](const Entry& a, const Entry& b) {
-    return a.first < b.first;
-  };
-  // K = 10 000 on the four full-size Table I designs grows the arena to 6-35
-  // entries per path and the heap to most of that; pages reserved but never
-  // touched cost no memory, so reserve for the worst of them.
-  std::vector<Partial> arena;
-  std::vector<Entry> heap;
-  const std::size_t reserve = std::min<std::size_t>(k, cell_count);
-  arena.reserve(40 * reserve);
-  heap.reserve(40 * reserve);
-
-  auto push = [&](double bound, CellId cell, std::int32_t parent,
-                  bool complete) {
-    arena.push_back(Partial{cell, parent, complete});
-    heap.emplace_back(bound, arena.size() - 1);
-    std::push_heap(heap.begin(), heap.end(), by_bound);
-  };
-
-  // Seed with endpoints: flop D pins and primary outputs.
+  std::vector<Seed> seeds;
   for (CellId ci : seq_cells_) {
     const double setup = setup_ns_[ci];
     const double cap = lib_cell(ci).input_cap_ff;
@@ -563,73 +586,198 @@ std::vector<TimingPath> Timer::top_paths(const VariantAssignment& variants,
       const NetId n = fanin_net_[e];
       const CellId drv = nl.net(n).driver;
       if (drv == kNoCell) continue;
-      const double bound =
-          arrival[drv] + parasitics_->wire_delay_ns(n, cap) + setup;
-      push(bound, drv, -1, false);
+      seeds.push_back(
+          {arrival(drv) + parasitics_->wire_delay_ns(n, cap) + setup, drv, ci,
+           n});
     }
   }
   for (NetId n : nl.primary_outputs()) {
     const CellId drv = nl.net(n).driver;
     if (drv == kNoCell) continue;
-    const double bound =
-        arrival[drv] + parasitics_->wire_delay_ns(n, options_.output_load_ff);
-    push(bound, drv, -1, false);
+    seeds.push_back(
+        {arrival(drv) + parasitics_->wire_delay_ns(n, options_.output_load_ff),
+         drv, kNoCell, n});
   }
 
-  std::vector<TimingPath> paths;
-  paths.reserve(reserve);
-  while (paths.size() < k && !heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), by_bound);
-    const auto [bound, idx] = heap.back();
+  // Diversion enumeration (Eppstein's scheme, DESIGN.md): a path is a seed
+  // plus deviations from critical in-edges, each at a cell of the segment
+  // its predecessor left fresh.  A node's key is its parent's key minus the
+  // deviation's value loss delta, so keys never grow along the tree and
+  // every pop is the next path in key order.  A popped node pushes at most
+  // three successors: the same deviation's next option, the parent's
+  // next-best deviation, and its own best deviation.
+  struct Deviation {
+    double delta;        ///< value of option 0 minus value of option 1
+    double bound;        ///< the recurrence's bound on reaching `cell`
+    CellId cell;
+    std::uint32_t rank;  ///< position of `cell` in the path, capture first
+  };
+  struct Node {
+    double key;            ///< approximate delay (a root: its seed bound)
+    std::int32_t parent;   ///< node this path deviates from; -1 at a root
+    std::uint32_t at;      ///< root: seed; else: slot in parent's deviations
+    std::uint32_t option;  ///< option taken at the deviation cell (>= 1)
+    std::uint32_t path = 0;        ///< its Emitted entry, set when popped
+    std::uint32_t devs_begin = 0;  ///< own deviations, set when popped
+    std::uint32_t devs_size = 0;
+  };
+  std::vector<Node> nodes;
+  std::vector<Deviation> devs;  ///< per-popped-node lists, sorted by delta
+  using Entry = std::pair<double, std::uint32_t>;  ///< (key, node)
+  const auto by_key = [](const Entry& a, const Entry& b) {
+    return a.first < b.first;
+  };
+  std::vector<Entry> heap;
+  auto push = [&](double key, std::int32_t parent, std::uint32_t at,
+                  std::uint32_t option) {
+    nodes.push_back(Node{key, parent, at, option});
+    heap.emplace_back(key, static_cast<std::uint32_t>(nodes.size() - 1));
+    std::push_heap(heap.begin(), heap.end(), by_key);
+  };
+  for (std::size_t s = 0; s < seeds.size(); ++s)
+    push(seeds[s].bound, -1, static_cast<std::uint32_t>(s), 0);
+
+  // Keys and exact delays differ only by rounding: a few ulps of the
+  // arrival magnitude per stage, ~1e-15 ns on these designs.  Popping stops
+  // once the next key is below the K-th exact delay by more than this
+  // bound, so every path at or above the K-th delay (its whole tie group
+  // included) has been emitted before the exact sort picks the K.
+  constexpr double kKeySlackNs = 1e-9;
+  std::vector<double> kth;  ///< min-heap of the K largest exact delays
+  // Emitted paths keep their cells, capture side first, in one arena; only
+  // the K kept become TimingPaths.
+  struct Emitted {
+    double delay;
+    std::uint32_t seed;
+    std::uint32_t begin;  ///< first cell in `cells`
+    std::uint32_t size;
+  };
+  std::vector<Emitted> emitted;
+  std::vector<CellId> cells;
+  while (!heap.empty()) {
+    if (kth.size() == k && heap.front().first < kth.front() - kKeySlackNs)
+      break;
+    std::pop_heap(heap.begin(), heap.end(), by_key);
+    const std::uint32_t idx = heap.back().second;
     heap.pop_back();
-    const Partial part = arena[idx];
-    const CellId c = part.cell;
+    const Node node = nodes[idx];
 
-    if (part.complete || (flags[c] & kSequential) != 0) {
-      // Launch point reached: unwind the chain (launch -> capture order).
-      TimingPath p;
-      p.delay_ns = bound;
-      p.slack_ns = timing.clock_ns - bound;
-      std::size_t length = 0;
-      for (std::int32_t i = static_cast<std::int32_t>(idx); i >= 0;
-           i = arena[static_cast<std::size_t>(i)].parent)
-        ++length;
-      p.cells.reserve(length);
-      for (std::int32_t i = static_cast<std::int32_t>(idx); i >= 0;
-           i = arena[static_cast<std::size_t>(i)].parent)
-        p.cells.push_back(arena[static_cast<std::size_t>(i)].cell);
-      paths.push_back(std::move(p));
-      continue;
+    // A deviation's path shares its parent's cells and recurrence up to the
+    // deviation cell: copy them, take the deviation's option there, then
+    // follow critical in-edges, listing this fresh segment's deviations.
+    Emitted e{0.0, 0, static_cast<std::uint32_t>(cells.size()), 0};
+    CellId c;
+    double bound;
+    std::uint32_t option = 0;
+    if (node.parent < 0) {
+      e.seed = node.at;
+      c = seeds[e.seed].driver;
+      bound = seeds[e.seed].bound;
+    } else {
+      const Node& from = nodes[static_cast<std::size_t>(node.parent)];
+      const Deviation& dev = devs[from.devs_begin + node.at];
+      const Emitted& prefix = emitted[from.path];
+      e.seed = prefix.seed;
+      cells.resize(e.begin + dev.rank);
+      std::copy_n(cells.data() + prefix.begin, dev.rank,
+                  cells.data() + e.begin);
+      c = dev.cell;
+      bound = dev.bound;
+      option = node.option;
     }
-
-    // Expand over the precomputed deduped fanin edges: a net wired to
-    // several pins of the same cell is one timing edge, not several
-    // parallel paths.
-    const std::size_t e0 = fanin_ptr_[c], e1 = fanin_ptr_[c + 1];
-    if ((flags[c] & kEdgesFilled) == 0) {
-      const double cap = lib_cell(c).input_cap_ff;
-      const double gate = timing.cells[c].gate_delay_ns;
-      for (std::size_t e = e0; e < e1; ++e) {
-        const NetId n = fanin_net_[e];
-        edge_stage[e] = {parasitics_->wire_delay_ns(n, cap) + gate,
-                         nl.net(n).driver};
+    const auto devs_begin = static_cast<std::uint32_t>(devs.size());
+    for (;;) {
+      const auto rank = static_cast<std::uint32_t>(cells.size() - e.begin);
+      cells.push_back(c);
+      const Visit& v = visit(c);
+      if (v.options == kLaunch) {
+        e.delay = bound;
+        break;
       }
-      flags[c] |= kEdgesFilled;
-    }
-    const double suffix = bound - arrival[c];
-    double best_pi_bound = -1e30;
-    for (std::size_t e = e0; e < e1; ++e) {
-      const double stage = edge_stage[e].delay + suffix;
-      const CellId drv = edge_stage[e].driver;
+      double stage = v.stage;
+      CellId drv = v.driver;
+      if (option != 0) {
+        const Option& take = options[fanin_ptr_[c] + option];
+        stage = take.stage;
+        drv = take.driver;
+        option = 0;
+      } else if (v.options > 1) {
+        devs.push_back(Deviation{v.delta, bound, c, rank});
+      }
+      const double suffix = bound - v.arrival;
       if (drv == kNoCell) {
-        // Primary-input launch (arrival 0): path completes here.
-        best_pi_bound = std::max(best_pi_bound, stage);
-      } else {
-        push(arrival[drv] + stage, drv, static_cast<std::int32_t>(idx),
-             false);
+        e.delay = stage + suffix;
+        break;
       }
+      bound = visit(drv).arrival + (stage + suffix);
+      c = drv;
     }
-    if (best_pi_bound > -1e30) push(best_pi_bound, c, part.parent, true);
+    e.size = static_cast<std::uint32_t>(cells.size()) - e.begin;
+    DOSEOPT_CHECK(std::abs(e.delay - node.key) <= kKeySlackNs,
+                  "top_paths: path key drifted from its delay");
+    std::sort(devs.begin() + devs_begin, devs.end(),
+              [](const Deviation& a, const Deviation& b) {
+                return a.delta < b.delta ||
+                       (a.delta == b.delta && a.rank < b.rank);
+              });
+    nodes[idx].path = static_cast<std::uint32_t>(emitted.size());
+    nodes[idx].devs_begin = devs_begin;
+    nodes[idx].devs_size = static_cast<std::uint32_t>(devs.size()) - devs_begin;
+    emitted.push_back(e);
+
+    kth.push_back(e.delay);
+    std::push_heap(kth.begin(), kth.end(), std::greater<>());
+    if (kth.size() > k) {
+      std::pop_heap(kth.begin(), kth.end(), std::greater<>());
+      kth.pop_back();
+    }
+
+    if (devs.size() > devs_begin)
+      push(node.key - devs[devs_begin].delta, static_cast<std::int32_t>(idx),
+           0, 1);
+    if (node.parent >= 0) {
+      const Node from = nodes[static_cast<std::size_t>(node.parent)];
+      const CellId x = devs[from.devs_begin + node.at].cell;
+      if (node.option + 1 < visits[x].options) {
+        const Option* o = options.get() + fanin_ptr_[x];
+        push(from.key - (o[0].value - o[node.option + 1].value),
+             node.parent, node.at, node.option + 1);
+      }
+      if (node.option == 1 && node.at + 1 < from.devs_size)
+        push(from.key - devs[from.devs_begin + node.at + 1].delta,
+             node.parent, node.at + 1, 1);
+    }
+  }
+
+  // The canonical order: delay descending, then capture cell, capture net
+  // and the launch-first cell list ascending.
+  const auto launch_first = [&](const Emitted& p) {
+    const CellId* first = cells.data() + p.begin;
+    return std::make_pair(std::reverse_iterator(first + p.size),
+                          std::reverse_iterator(first));
+  };
+  std::sort(emitted.begin(), emitted.end(),
+            [&](const Emitted& a, const Emitted& b) {
+              if (a.delay != b.delay) return a.delay > b.delay;
+              const Seed& sa = seeds[a.seed];
+              const Seed& sb = seeds[b.seed];
+              if (sa.capture_cell != sb.capture_cell)
+                return sa.capture_cell < sb.capture_cell;
+              if (sa.capture_net != sb.capture_net)
+                return sa.capture_net < sb.capture_net;
+              const auto [a0, a1] = launch_first(a);
+              const auto [b0, b1] = launch_first(b);
+              return std::lexicographical_compare(a0, a1, b0, b1);
+            });
+  std::vector<TimingPath> paths(std::min(k, emitted.size()));
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const Emitted& e = emitted[i];
+    const auto [first, last] = launch_first(e);
+    paths[i].cells.assign(first, last);
+    paths[i].delay_ns = e.delay;
+    paths[i].slack_ns = timing.clock_ns - e.delay;
+    paths[i].capture_cell = seeds[e.seed].capture_cell;
+    paths[i].capture_net = seeds[e.seed].capture_net;
   }
   return paths;
 }

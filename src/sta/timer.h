@@ -108,6 +108,10 @@ struct TimingPath {
   std::vector<netlist::CellId> cells;  ///< launch side first
   double delay_ns = 0.0;               ///< includes capture setup
   double slack_ns = 0.0;               ///< vs. the analysis clock
+  /// Capture point: the flop whose input `capture_net` is, or kNoCell when
+  /// `capture_net` is a primary output.
+  netlist::CellId capture_cell = netlist::kNoCell;
+  netlist::NetId capture_net = netlist::kNoNet;
 };
 
 /// Full analysis result.
@@ -193,8 +197,16 @@ class Timer {
       TimingState& state, const VariantAssignment& variants,
       const std::vector<netlist::NetId>& changed_nets = {}) const;
 
-  /// Enumerate the K worst (largest-delay) launch-to-capture paths, in
-  /// non-increasing delay order.  Exact K-longest-paths over the timing DAG.
+  /// Enumerate the K worst (largest-delay) launch-to-capture paths.  A
+  /// path's delay is the backward recurrence from its capture point: the
+  /// seed is arrival(driver) + wire + setup (no setup at a primary output),
+  /// each step into driver d of cell c is
+  ///   bound' = arrival[d] + (stage + (bound - arrival[c])),
+  /// stage = wire delay into c + c's gate delay, and a primary-input launch
+  /// at c ends it at stage + (bound - arrival[c]), with c's largest
+  /// primary-input stage.  The list is ordered by delay (descending), then
+  /// capture cell, capture net and the cell list (ascending) -- an order
+  /// that no container's internals decide.
   std::vector<TimingPath> top_paths(const VariantAssignment& variants,
                                     std::size_t k) const;
   std::vector<TimingPath> top_paths(const VariantAssignment& variants,

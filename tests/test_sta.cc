@@ -146,81 +146,125 @@ TEST_F(ChainSta, TopPathsNonIncreasingDelay) {
 
 struct BruteEntry {
   double delay;
-  std::vector<netlist::CellId> cells;
+  netlist::CellId capture_cell;
+  netlist::NetId capture_net;
+  std::vector<netlist::CellId> cells;  ///< launch first
 };
 
-/// Enumerate ALL launch-to-capture paths of a small design by DFS and
-/// compute each path's delay exactly as the timer defines it.
+/// Enumerate ALL launch-to-capture paths of a small design at nominal
+/// variants by DFS.  Each delay follows the recurrence top_paths documents,
+/// written out here: the seed arrival(driver) + wire + setup, each step
+/// bound' = arrival[d] + (stage + (bound - arrival[c])), a primary-input
+/// launch stage + (bound - arrival[c]).  The list is sorted by the
+/// documented key: delay descending, then capture cell, capture net and
+/// cell list ascending.
 std::vector<BruteEntry> brute_force_paths(const netlist::Netlist& nl,
                                           const extract::Parasitics& para,
                                           liberty::LibraryRepository& repo,
                                           const Timer& timer,
                                           const TimingResult& timing) {
   std::vector<BruteEntry> out;
-  // Recursive expansion backwards from each endpoint edge.
   struct Frame {
     netlist::CellId cell;
-    double suffix;
-    std::vector<netlist::CellId> chain;
+    double bound;
+    netlist::CellId capture_cell;
+    netlist::NetId capture_net;
+    std::vector<netlist::CellId> chain;  ///< capture side first
   };
   auto pin_cap = [&](netlist::CellId c) {
     return repo.nominal().cell(nl.cell(c).master_index).input_cap_ff;
+  };
+  auto arrival = [&](netlist::CellId c) { return timing.cells[c].arrival_ns; };
+  auto distinct_inputs = [&](netlist::CellId c) {
+    std::vector<netlist::NetId> nets;
+    for (netlist::NetId n : nl.cell(c).input_nets)
+      if (std::find(nets.begin(), nets.end(), n) == nets.end())
+        nets.push_back(n);
+    return nets;
+  };
+  auto emit = [&](const Frame& f, double delay) {
+    out.push_back({delay, f.capture_cell, f.capture_net,
+                   std::vector<netlist::CellId>(f.chain.rbegin(),
+                                                f.chain.rend())});
   };
   std::vector<Frame> stack;
   for (std::size_t ci = 0; ci < nl.cell_count(); ++ci) {
     const auto c = static_cast<netlist::CellId>(ci);
     if (!nl.cell(c).sequential) continue;
     const double setup = nl.master_of(c).setup_ns;
-    for (netlist::NetId n : nl.cell(c).input_nets) {
+    for (netlist::NetId n : distinct_inputs(c)) {
       const netlist::CellId drv = nl.net(n).driver;
       if (drv == netlist::kNoCell) continue;
       stack.push_back(
-          {drv, para.wire_delay_ns(n, pin_cap(c)) + setup, {drv}});
+          {drv, arrival(drv) + para.wire_delay_ns(n, pin_cap(c)) + setup, c,
+           n, {drv}});
     }
   }
   for (netlist::NetId n : nl.primary_outputs()) {
     const netlist::CellId drv = nl.net(n).driver;
     if (drv == netlist::kNoCell) continue;
     stack.push_back(
-        {drv, para.wire_delay_ns(n, timer.options().output_load_ff), {drv}});
+        {drv,
+         arrival(drv) + para.wire_delay_ns(n, timer.options().output_load_ff),
+         netlist::kNoCell, n, {drv}});
   }
   while (!stack.empty()) {
-    Frame f = stack.back();
+    Frame f = std::move(stack.back());
     stack.pop_back();
-    const netlist::Cell& cell = nl.cell(f.cell);
-    const double gd = timing.cells[f.cell].gate_delay_ns;
-    if (cell.sequential) {
-      std::vector<netlist::CellId> chain(f.chain.rbegin(), f.chain.rend());
-      out.push_back({gd + f.suffix, std::move(chain)});
+    if (nl.cell(f.cell).sequential) {
+      emit(f, f.bound);
       continue;
     }
-    double best_pi = -1.0;
-    std::vector<netlist::NetId> seen;
-    for (netlist::NetId n : cell.input_nets) {
-      if (std::find(seen.begin(), seen.end(), n) != seen.end()) continue;
-      seen.push_back(n);
+    const double gd = timing.cells[f.cell].gate_delay_ns;
+    const double suffix = f.bound - arrival(f.cell);
+    bool pi_launch = false;
+    double best_pi = 0.0;
+    for (netlist::NetId n : distinct_inputs(f.cell)) {
       const netlist::CellId drv = nl.net(n).driver;
       const double stage = para.wire_delay_ns(n, pin_cap(f.cell)) + gd;
       if (drv == netlist::kNoCell) {
-        best_pi = std::max(best_pi, stage + f.suffix);
+        best_pi = pi_launch ? std::max(best_pi, stage + suffix)
+                            : stage + suffix;
+        pi_launch = true;
       } else {
         Frame nf = f;
         nf.cell = drv;
-        nf.suffix = stage + f.suffix;
+        nf.bound = arrival(drv) + (stage + suffix);
         nf.chain.push_back(drv);
         stack.push_back(std::move(nf));
       }
     }
-    if (best_pi >= 0.0) {
-      std::vector<netlist::CellId> chain(f.chain.rbegin(), f.chain.rend());
-      out.push_back({best_pi, std::move(chain)});
-    }
+    if (pi_launch) emit(f, best_pi);
   }
   std::sort(out.begin(), out.end(),
             [](const BruteEntry& a, const BruteEntry& b) {
-              return a.delay > b.delay;
+              if (a.delay != b.delay) return a.delay > b.delay;
+              if (a.capture_cell != b.capture_cell)
+                return a.capture_cell < b.capture_cell;
+              if (a.capture_net != b.capture_net)
+                return a.capture_net < b.capture_net;
+              return a.cells < b.cells;
             });
   return out;
+}
+
+/// top_paths at `k` must equal the first k brute-force entries element for
+/// element: capture point, cells, delay bits and order.
+void expect_matches_brute(const Timer& timer, const VariantAssignment& va,
+                          const TimingResult& timing,
+                          const std::vector<BruteEntry>& brute,
+                          std::size_t k) {
+  const auto fast = timer.top_paths(va, timing, k);
+  ASSERT_EQ(fast.size(), std::min(k, brute.size())) << "k " << k;
+  for (std::size_t i = 0; i < fast.size(); ++i) {
+    ASSERT_EQ(fast[i].delay_ns, brute[i].delay) << "k " << k << " rank " << i;
+    ASSERT_EQ(fast[i].capture_cell, brute[i].capture_cell)
+        << "k " << k << " rank " << i;
+    ASSERT_EQ(fast[i].capture_net, brute[i].capture_net)
+        << "k " << k << " rank " << i;
+    ASSERT_EQ(fast[i].cells, brute[i].cells) << "k " << k << " rank " << i;
+    ASSERT_EQ(fast[i].slack_ns, timing.clock_ns - brute[i].delay);
+  }
 }
 
 class TopPathsExact : public ::testing::TestWithParam<int> {};
@@ -240,16 +284,80 @@ TEST_P(TopPathsExact, MatchesBruteForce) {
 
   const auto brute = brute_force_paths(*d.netlist, para, repo, timer, timing);
   ASSERT_FALSE(brute.empty());
-  const std::size_t k = std::min<std::size_t>(200, brute.size());
-  const auto fast = timer.top_paths(va, timing, k);
-  ASSERT_EQ(fast.size(), k);
-  for (std::size_t i = 0; i < k; ++i)
-    EXPECT_NEAR(fast[i].delay_ns, brute[i].delay, 1e-9) << "path rank " << i;
-  // The single most critical path must match cell-for-cell.
-  EXPECT_EQ(fast[0].cells, brute[0].cells);
+  for (std::size_t k : {std::size_t{1}, std::size_t{200}, brute.size() / 2,
+                        brute.size(), brute.size() + 7})
+    expect_matches_brute(timer, va, timing, brute, k);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TopPathsExact, ::testing::Range(1, 6));
+
+/// A ladder of identical reconvergent stages: ff0 -> (INV a_i, INV b_i ->
+/// NAND2 m_i) x stages -> D of ff0, ff1 and ff2; ff1 and ff2 drive primary
+/// outputs.  Every cell sits on one site, so twin nets get identical
+/// parasitics and all 3 * 2^stages register paths share one delay bit for
+/// bit, as do the two output paths.
+TinyDesign make_ladder_design(int stages) {
+  TinyDesign d;
+  const tech::TechNode node = tech::make_tech_65nm();
+  d.repo = std::make_unique<liberty::LibraryRepository>(node);
+  d.netlist = std::make_unique<netlist::Netlist>("ladder", node.name,
+                                                 &d.repo->masters());
+  netlist::Netlist& nl = *d.netlist;
+  auto idx = [&](const char* name) {
+    for (std::size_t i = 0; i < d.repo->masters().size(); ++i)
+      if (d.repo->masters()[i].name == name) return i;
+    throw Error(std::string("missing master ") + name);
+  };
+  const netlist::NetId q0 = nl.add_net("q0");
+  const netlist::CellId ff0 = nl.add_cell("ff0", idx("DFFX1"), q0);
+  netlist::NetId prev = q0;
+  for (int i = 0; i < stages; ++i) {
+    const std::string s = std::to_string(i);
+    const netlist::NetId na = nl.add_net("a" + s);
+    const netlist::NetId nb = nl.add_net("b" + s);
+    const netlist::NetId nm = nl.add_net("m" + s);
+    nl.connect_input(nl.add_cell("ua" + s, idx("INVX1"), na), 0, prev);
+    nl.connect_input(nl.add_cell("ub" + s, idx("INVX1"), nb), 0, prev);
+    const netlist::CellId m = nl.add_cell("um" + s, idx("NAND2X1"), nm);
+    nl.connect_input(m, 0, na);
+    nl.connect_input(m, 1, nb);
+    prev = nm;
+  }
+  nl.connect_input(ff0, 0, prev);
+  for (const char* name : {"ff1", "ff2"}) {
+    const netlist::NetId q = nl.add_net(std::string("q_") + name);
+    nl.connect_input(nl.add_cell(name, idx("DFFX1"), q), 0, prev);
+    nl.mark_primary_output(q);
+  }
+  nl.validate();
+
+  d.die = place::Die{20.0, 18.0, node.row_height_um, node.site_width_um};
+  d.placement = std::make_unique<place::Placement>(&nl, d.die);
+  for (std::size_t c = 0; c < nl.cell_count(); ++c)
+    d.placement->set_location(static_cast<netlist::CellId>(c), {0, 0});
+  d.parasitics = extract::extract(*d.placement, node);
+  return d;
+}
+
+TEST(TopPathsTies, LadderMatchesBruteForceAtEveryK) {
+  constexpr int kStages = 6;
+  TinyDesign d = make_ladder_design(kStages);
+  Timer timer(d.netlist.get(), &d.parasitics, d.repo.get());
+  const VariantAssignment va(d.netlist->cell_count());
+  const TimingResult timing = timer.analyze(va);
+  const auto brute =
+      brute_force_paths(*d.netlist, d.parasitics, *d.repo, timer, timing);
+  const std::size_t register_paths = 3u << kStages;
+  ASSERT_EQ(brute.size(), register_paths + 2);
+  // The premise: most paths tie, so the canonical key alone orders them.
+  const auto ties = static_cast<std::size_t>(
+      std::count_if(brute.begin(), brute.end(), [&](const BruteEntry& e) {
+        return e.delay == brute.front().delay;
+      }));
+  ASSERT_GE(ties, register_paths);
+  for (std::size_t k = 1; k <= brute.size() + 1; ++k)
+    expect_matches_brute(timer, va, timing, brute, k);
+}
 
 /// FNV-1a over a whole path list: every cell id and the bits of every
 /// delay and slack, in list order.  Equal checksums mean equal lists,
@@ -274,9 +382,9 @@ class TopPathsPinned : public ::testing::TestWithParam<PinnedPaths> {};
 
 TEST_P(TopPathsPinned, TenThousandPathsAtNominal) {
   // The full K = 10000 list of each Table I design at the 12 % scale
-  // (DOSEOPT_FAST), recorded before the enumeration moved onto flat
-  // per-call tables.  dosePl sorts this list with an unstable sort, so the
-  // order of equal-delay paths is part of the contract, not just the delays.
+  // (DOSEOPT_FAST), in the canonical order.  dosePl walks this list as
+  // given, so the order of equal-delay paths is part of the contract, not
+  // just the delays.
   const gen::DesignSpec spec =
       gen::spec_by_name(GetParam().design).scaled(0.12);
   const tech::TechNode node = tech::tech_node_by_name(spec.tech);
@@ -293,12 +401,77 @@ TEST_P(TopPathsPinned, TenThousandPathsAtNominal) {
       << std::hex << path_list_checksum(paths);
 }
 
+/// FNV-1a over the path multiset without the tie group at the last (K-th)
+/// delay, whose members depend on the tie order: the rest sorted by
+/// (delay, cells) and hashed as cells plus delay bits.  Paths equal in both
+/// hash alike, so neither the list order nor the capture point matters.
+std::uint64_t path_multiset_checksum(const std::vector<TimingPath>& paths) {
+  if (paths.empty()) return testing_support::Fnv1a().value();
+  const double kth = paths.back().delay_ns;
+  std::vector<const TimingPath*> rest;
+  for (const TimingPath& p : paths)
+    if (p.delay_ns != kth) rest.push_back(&p);
+  std::sort(rest.begin(), rest.end(),
+            [](const TimingPath* a, const TimingPath* b) {
+              if (a->delay_ns != b->delay_ns) return a->delay_ns > b->delay_ns;
+              return a->cells < b->cells;
+            });
+  testing_support::Fnv1a h;
+  for (const TimingPath* p : rest) {
+    h.add(static_cast<std::uint64_t>(p->cells.size()));
+    for (netlist::CellId c : p->cells) h.add(static_cast<std::uint64_t>(c));
+    h.add(p->delay_ns);
+  }
+  return h.value();
+}
+
+struct PinnedMultiset {
+  const char* design;
+  std::size_t kept;  ///< paths outside the K-th delay's tie group
+  std::uint64_t checksum;
+};
+
+class TopPathsMultiset : public ::testing::TestWithParam<PinnedMultiset> {};
+
+TEST_P(TopPathsMultiset, TenThousandPathsAtNominal) {
+  // Recorded on the best-first enumeration that preceded the diversion
+  // enumerator: whatever the tie order, the K = 10000 paths above the K-th
+  // delay and their delay bits must not change.
+  const gen::DesignSpec spec =
+      gen::spec_by_name(GetParam().design).scaled(0.12);
+  const tech::TechNode node = tech::tech_node_by_name(spec.tech);
+  liberty::LibraryRepository repo(node);
+  const gen::GeneratedDesign d =
+      gen::generate_design(spec, repo.masters(), node);
+  const extract::Parasitics para = extract::extract(*d.placement, node);
+  Timer timer(d.netlist.get(), &para, &repo);
+  const VariantAssignment va(d.netlist->cell_count());
+  const std::vector<TimingPath> paths =
+      timer.top_paths(va, timer.analyze(va), 10000);
+  ASSERT_EQ(paths.size(), 10000u);
+  std::size_t kept = 0;
+  for (const TimingPath& p : paths) kept += p.delay_ns != paths.back().delay_ns;
+  EXPECT_EQ(kept, GetParam().kept);
+  EXPECT_EQ(path_multiset_checksum(paths), GetParam().checksum)
+      << std::hex << path_multiset_checksum(paths);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, TopPathsMultiset,
+    ::testing::Values(PinnedMultiset{"aes65", 9999, 0xC311FB563B07623BULL},
+                      PinnedMultiset{"jpeg65", 9999, 0x581F4DD308651B96ULL},
+                      PinnedMultiset{"aes90", 9999, 0x8DF20F1BE7D48F39ULL},
+                      PinnedMultiset{"jpeg90", 9999, 0x07B7A2D2F599C9B1ULL}),
+    [](const ::testing::TestParamInfo<PinnedMultiset>& info) {
+      return std::string(info.param.design);
+    });
+
 INSTANTIATE_TEST_SUITE_P(
     Designs, TopPathsPinned,
-    ::testing::Values(PinnedPaths{"aes65", 0xDA16D94182CB28BAULL},
-                      PinnedPaths{"jpeg65", 0x6D732B7C677416FBULL},
+    ::testing::Values(PinnedPaths{"aes65", 0x2EB10BA9C0AC0CCEULL},
+                      PinnedPaths{"jpeg65", 0x46EE9B0579DB5FF3ULL},
                       PinnedPaths{"aes90", 0xE828C4DF03FED851ULL},
-                      PinnedPaths{"jpeg90", 0xEE777EAE23DF1BE4ULL}),
+                      PinnedPaths{"jpeg90", 0xEBC1DD416E9EBFA4ULL}),
     [](const ::testing::TestParamInfo<PinnedPaths>& info) {
       return std::string(info.param.design);
     });
