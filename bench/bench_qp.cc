@@ -86,16 +86,6 @@ ModeStats run_mode(flow::DesignContext& ctx,
   s.allocations =
       g_allocations.load(std::memory_order_relaxed) - allocs_before;
   const dmopt::CutTelemetry& t = s.result.telemetry;
-  if (std::getenv("DOSEOPT_BENCH_ROUNDS") != nullptr) {
-    std::fprintf(stderr, "mode=%s\n", incremental ? "warm" : "cold");
-    for (const dmopt::CutRound& r : t.rounds)
-      std::fprintf(stderr,
-                   "round tau=%.6f r=%d ws=%zu fresh=%zu iters=%d "
-                   "asm=%.2fms solve=%.2fms extract=%.2fms\n",
-                   r.tau_ns, r.round, r.working_set, r.fresh_cuts,
-                   r.admm_iterations, r.assembly_ns / 1e6, r.solve_ns / 1e6,
-                   r.extract_ns / 1e6);
-  }
   s.assembly_ms = static_cast<double>(t.assembly_ns) / 1e6;
   s.admm_ms = static_cast<double>(t.solve_ns) / 1e6;
   s.extract_ms = static_cast<double>(t.extract_ns) / 1e6;

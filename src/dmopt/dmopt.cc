@@ -99,8 +99,7 @@ DoseMapOptimizer::DoseMapOptimizer(
     const CellId drv = nl_->net(n).driver;
     if (drv == kNoCell) continue;
     endpoint_edges_.push_back(
-        {kNoCell, drv,
-         parasitics_->wire_delay_ns(n, timer_->options().output_load_ff)});
+        {kNoCell, drv, parasitics_->wire_delay_ns(n, sta::kOutputLoadFf)});
   }
   endpoint_base_by_cell_.assign(nl_->cell_count(), 0.0);
   for (const CellTimingEdgeData& e : endpoint_edges_)
@@ -310,15 +309,15 @@ DoseMapOptimizer::SolveOutcome DoseMapOptimizer::solve_leakage_qp(
   outcome.poly.assign(vars.n_grids, 0.0);
   outcome.active.assign(vars.n_grids, 0.0);
 
-  qp::QpSettings settings = options_.qp_settings;
-  settings.warm_start = settings.warm_start && options_.incremental;
-  if (settings.warm_start) {
+  qp::QpSettings settings;
+  settings.warm_start = options_.incremental;
+  if (options_.incremental) {
     // The incremental package: exit through the active-set polish as soon
     // as a stable/plateau set passes KKT, and stop burning iterations on
     // near-infeasible probes once the residuals flatline.  The cold A/B
     // reference keeps the historical polish-at-termination semantics.
     settings.early_polish = true;
-    if (settings.stall_window == 0) settings.stall_window = 250;
+    settings.stall_window = 250;
     settings.check_interval = 20;
   }
   qp::QpSolver solver(settings);
@@ -334,10 +333,7 @@ DoseMapOptimizer::SolveOutcome DoseMapOptimizer::solve_leakage_qp(
   constexpr int kMaxRounds = 40;
   constexpr std::size_t kBatch = 300;
   for (int round = 0; round < kMaxRounds; ++round) {
-    CutRound tele;
-    tele.tau_ns = tau;
-    tele.round = round;
-
+    ++telemetry_.total_rounds;
     const auto ta0 = Clock::now();
     if (options_.incremental) {
       // Static rows persist; only fresh cuts are appended, and a tau
@@ -359,21 +355,17 @@ DoseMapOptimizer::SolveOutcome DoseMapOptimizer::solve_leakage_qp(
     }
     working_set.paths_assembled = working_set.paths.size();
     const auto ta1 = Clock::now();
-    tele.assembly_ns = elapsed_ns(ta0, ta1);
-    tele.working_set = working_set.paths.size();
+    telemetry_.assembly_ns += elapsed_ns(ta0, ta1);
 
     const qp::QpSolution sol = solver.solve_incremental(
         working_set.problem->problem(), working_set.qp_state);
     if (sol.cold_fallback) ++telemetry_.qp_cold_fallbacks;
     const auto ta2 = Clock::now();
-    tele.solve_ns = elapsed_ns(ta1, ta2);
-    tele.admm_iterations = sol.iterations;
+    telemetry_.solve_ns += elapsed_ns(ta1, ta2);
+    telemetry_.total_admm_iterations += sol.iterations;
     outcome.status = sol.status;
     outcome.qp_iterations += sol.iterations;
-    if (sol.status == qp::QpStatus::kPrimalInfeasible) {
-      telemetry_.add(tele);
-      break;
-    }
+    if (sol.status == qp::QpStatus::kPrimalInfeasible) break;
 
     for (std::size_t g = 0; g < vars.n_grids; ++g) {
       outcome.poly[g] = std::clamp(sol.x[vars.poly(g)],
@@ -388,9 +380,8 @@ DoseMapOptimizer::SolveOutcome DoseMapOptimizer::solve_leakage_qp(
 
     std::vector<PathConstraint> fresh =
         extract_violated_paths(outcome.poly, outcome.active, tau, kBatch);
-    tele.extract_ns = elapsed_ns(ta2, Clock::now());
+    telemetry_.extract_ns += elapsed_ns(ta2, Clock::now());
     if (fresh.empty()) {
-      telemetry_.add(tele);
       outcome.feasible = true;
       break;
     }
@@ -402,8 +393,7 @@ DoseMapOptimizer::SolveOutcome DoseMapOptimizer::solve_leakage_qp(
       working_set.paths.push_back(std::move(pc));
       ++added;
     }
-    tele.fresh_cuts = added;
-    telemetry_.add(tele);
+    telemetry_.total_cuts += added;
     if (added == 0) {
       // No new cuts: remaining violations are at solver-tolerance level.
       outcome.feasible =
@@ -683,7 +673,11 @@ DmoptResult DoseMapOptimizer::minimize_cycle_time(double leakage_budget_uw) {
   DOSEOPT_CHECK(tau_lo <= tau_hi, "minimize_cycle_time: inverted bounds");
 
   // Feasibility of a probe is judged on *golden* leakage after variant
-  // snapping, so the reported result always honors the budget.
+  // snapping, so the reported result always honors the budget (up to
+  // kLeakageToleranceUw of slack).  At most kBisectionIterations probes
+  // follow the relaxed end.
+  constexpr int kBisectionIterations = 8;
+  constexpr double kLeakageToleranceUw = 1e-3;
   const double leak_budget_uw = nominal_leakage_uw_ + leakage_budget_uw;
   WorkingSet working_set;  // shared across probes
   telemetry_ = CutTelemetry();
@@ -698,7 +692,7 @@ DmoptResult DoseMapOptimizer::minimize_cycle_time(double leakage_budget_uw) {
   if (tau_hi_ok) {
     double golden_mct = 0.0, golden_leak = 0.0;
     golden_eval(best, &golden_mct, &golden_leak);
-    tau_hi_ok = golden_leak <= leak_budget_uw + options_.leakage_tolerance_uw;
+    tau_hi_ok = golden_leak <= leak_budget_uw + kLeakageToleranceUw;
   }
   if (!tau_hi_ok) {
     DmoptResult result = minimize_leakage(0.0);
@@ -714,7 +708,7 @@ DmoptResult DoseMapOptimizer::minimize_cycle_time(double leakage_budget_uw) {
   int total_iters = best.qp_iterations;
   double feasible_tau = tau_hi;
 
-  for (int it = 0; it < options_.bisection_iterations; ++it) {
+  for (int it = 0; it < kBisectionIterations; ++it) {
     if (feasible_tau - tau_lo < 1e-4) break;
     const double tau = 0.5 * (tau_lo + feasible_tau);
     SolveOutcome probe = solve_leakage_qp(tau, working_set);
@@ -724,7 +718,7 @@ DmoptResult DoseMapOptimizer::minimize_cycle_time(double leakage_budget_uw) {
     if (ok) {
       double golden_mct = 0.0, golden_leak = 0.0;
       golden_eval(probe, &golden_mct, &golden_leak);
-      ok = golden_leak <= leak_budget_uw + options_.leakage_tolerance_uw;
+      ok = golden_leak <= leak_budget_uw + kLeakageToleranceUw;
     }
     if (ok) {
       feasible_tau = tau;

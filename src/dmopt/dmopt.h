@@ -50,9 +50,6 @@ struct DmoptOptions {
   double dose_lower_pct = -5.0;    ///< L (eq. (3))
   double dose_upper_pct = 5.0;     ///< U (eq. (3))
   bool modulate_width = false;     ///< also optimize the active layer
-  int bisection_iterations = 8;    ///< QCP: bisection steps on tau
-  double leakage_tolerance_uw = 1e-3;  ///< QCP: budget slack when probing
-  qp::QpSettings qp_settings;      ///< inner solver configuration
   /// Incremental cutting-plane solve path: static constraint rows built
   /// once, cut rows appended, QP scaling/dual warm-started across rounds
   /// and bisection probes.  false forces the historical per-round rebuild
@@ -72,43 +69,19 @@ struct DmoptOptions {
   variation::VariationModel yield_variation;
 };
 
-/// Per-round counters of the cutting-plane loop (the structured
-/// replacement for the old DOSEOPT_TRACE stderr dump).
-struct CutRound {
-  double tau_ns = 0.0;       ///< timing bound of this solve
-  int round = 0;             ///< round index within the solve
-  std::size_t working_set = 0;  ///< path rows in the QP this round
-  std::size_t fresh_cuts = 0;   ///< newly added violated paths
-  int admm_iterations = 0;
-  std::uint64_t assembly_ns = 0;  ///< problem build/append + tau retarget
-  std::uint64_t solve_ns = 0;     ///< ADMM solve
-  std::uint64_t extract_ns = 0;   ///< violated-path extraction
-};
-
 /// Cutting-plane telemetry aggregated over every round and bisection
 /// probe of one optimization run; surfaced through flow results and the
 /// server metrics endpoint.
 struct CutTelemetry {
-  std::vector<CutRound> rounds;
   int total_rounds = 0;
   int total_admm_iterations = 0;
-  std::size_t total_cuts = 0;
-  std::uint64_t assembly_ns = 0;
-  std::uint64_t solve_ns = 0;
-  std::uint64_t extract_ns = 0;
+  std::size_t total_cuts = 0;     ///< violated paths added as rows
+  std::uint64_t assembly_ns = 0;  ///< problem build/append + tau retarget
+  std::uint64_t solve_ns = 0;     ///< ADMM solves
+  std::uint64_t extract_ns = 0;   ///< violated-path extraction
   /// Warm incremental solves that failed acceptance (divergence / KKT
   /// rejection) and recovered through the cold re-solve ladder.
   int qp_cold_fallbacks = 0;
-
-  void add(const CutRound& r) {
-    rounds.push_back(r);
-    ++total_rounds;
-    total_admm_iterations += r.admm_iterations;
-    total_cuts += r.fresh_cuts;
-    assembly_ns += r.assembly_ns;
-    solve_ns += r.solve_ns;
-    extract_ns += r.extract_ns;
-  }
 };
 
 /// Result of one optimization run.
@@ -132,7 +105,7 @@ struct DmoptResult {
   /// probes when probes revisit an already analyzed assignment.
   int ssta_analyses = 0;
   double runtime_s = 0.0;
-  CutTelemetry telemetry;  ///< per-round cutting-plane counters
+  CutTelemetry telemetry;  ///< cutting-plane counters, summed over rounds
 
   /// Degraded-mode bookkeeping.  `degraded` marks a result produced by a
   /// fallback ladder rather than the requested formulation; `fallback`

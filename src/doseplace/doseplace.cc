@@ -19,6 +19,13 @@ using netlist::NetId;
 
 namespace {
 
+/// The paper's fixed swap filters: at most gamma1 swaps per critical path,
+/// a swap distance of at most gamma2 = kDistancePitchFactor gate pitches,
+/// and at most a gamma3 fractional HPWL increase on each cell's nets.
+constexpr int kMaxSwapsPerPath = 1;            // gamma1
+constexpr double kDistancePitchFactor = 20.0;  // gamma2
+constexpr double kHpwlIncreaseLimit = 0.20;    // gamma3
+
 /// Nets whose extracted parasitics differ between two extractions (exact
 /// field compare) -- the incremental-timing invalidation set after an ECO.
 std::vector<NetId> changed_parasitic_nets(const extract::Parasitics& before,
@@ -75,8 +82,7 @@ DosePlResult DosePlacer::run(const dose::DoseMap& poly_map,
   const double gate_pitch_um =
       placement_->die().width_um /
       std::sqrt(static_cast<double>(nl_->cell_count()));
-  const double max_distance_um =
-      options_.distance_pitch_factor * gate_pitch_um;
+  const double max_distance_um = kDistancePitchFactor * gate_pitch_um;
 
   // Persistent incremental-STA state: a swap round only re-times the cone
   // of the moved cells' nets, not the whole design.
@@ -160,7 +166,7 @@ DosePlResult DosePlacer::run(const dose::DoseMap& poly_map,
          pk < paths.size() && swaps_this_round < options_.max_swaps_per_round;
          ++pk) {
       const sta::TimingPath& path = paths[pk];
-      if (swaps_on_path[pk] >= options_.max_swaps_per_path) continue;
+      if (swaps_on_path[pk] >= kMaxSwapsPerPath) continue;
 
       // Cells of this path in non-increasing weight order.
       std::vector<CellId> cells = path.cells;
@@ -226,8 +232,8 @@ DosePlResult DosePlacer::run(const dose::DoseMap& poly_map,
             const double hl1 = place::incident_hpwl_um(*placement_, cell_l);
             const double hm1 = place::incident_hpwl_um(*placement_, cell_m);
             const bool hpwl_ok =
-                hl1 <= hl0 * (1.0 + options_.hpwl_increase_limit) + 1e-9 &&
-                hm1 <= hm0 * (1.0 + options_.hpwl_increase_limit) + 1e-9;
+                hl1 <= hl0 * (1.0 + kHpwlIncreaseLimit) + 1e-9 &&
+                hm1 <= hm0 * (1.0 + kHpwlIncreaseLimit) + 1e-9;
 
             // Leakage filter (gamma4): pair leakage at the swapped grids.
             // Both dose maps are per location, so each cell takes over

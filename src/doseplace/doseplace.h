@@ -22,13 +22,11 @@
 
 namespace doseopt::doseplace {
 
-/// Heuristic controls (gamma1..gamma5 of the paper, plus top-K).
+/// Heuristic controls (gamma4 and gamma5 of the paper, plus top-K; gamma1
+/// to gamma3 are fixed in doseplace.cc).
 struct DosePlOptions {
   std::size_t top_k_paths = 10000;   ///< K critical paths per round
   int rounds = 10;                   ///< total swap rounds
-  int max_swaps_per_path = 1;        ///< gamma1
-  double distance_pitch_factor = 20.0;  ///< gamma2 = factor * gate pitch
-  double hpwl_increase_limit = 0.20;    ///< gamma3 (fractional)
   double leak_increase_limit = 0.10;    ///< gamma4 (fractional)
   int max_swaps_per_round = 1;          ///< gamma5
 };

@@ -47,6 +47,9 @@ struct RouterShed {};
 /// cannot be mistaken for a transport failure and replayed.
 struct RouterExpired {};
 
+/// Virtual nodes per worker on the consistent hash ring.
+constexpr int kRingReplicas = 64;
+
 double ms_since(std::chrono::steady_clock::time_point t0,
                 std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -66,7 +69,7 @@ void ensure_fleet_fault_points_linked() {
 Router::Router(RouterOptions options, Supervisor& supervisor)
     : options_(std::move(options)),
       supervisor_(supervisor),
-      ring_(supervisor.workers(), options_.ring_replicas) {
+      ring_(supervisor.workers(), kRingReplicas) {
   DOSEOPT_CHECK(options_.links_per_worker >= 1,
                 "fleet: links_per_worker must be >= 1");
   pools_.reserve(static_cast<std::size_t>(supervisor_.workers()));
@@ -224,10 +227,12 @@ std::optional<serve::Client> Router::acquire_link(int worker) {
     pool.idle.clear();
     pool.generation = generation;
   }
+  // A pool still busy after this long sheds the job.
+  constexpr double kLinkAcquireTimeoutMs = 2000.0;
   const auto deadline =
       std::chrono::steady_clock::now() +
-      std::chrono::microseconds(static_cast<long>(
-          options_.link_acquire_timeout_ms * 1000.0));
+      std::chrono::microseconds(
+          static_cast<long>(kLinkAcquireTimeoutMs * 1000.0));
   while (pool.idle.empty() && pool.outstanding >= options_.links_per_worker) {
     if (pool.cv.wait_until(lock, deadline) == std::cv_status::timeout &&
         pool.idle.empty() && pool.outstanding >= options_.links_per_worker)
@@ -313,8 +318,11 @@ double Router::hedge_delay_ms(int worker) const {
       *hist_forward_[static_cast<std::size_t>(worker)];
   if (hist.count() < static_cast<std::uint64_t>(options_.hedge_min_samples))
     return options_.hedge_max_ms;
-  return std::clamp(options_.hedge_factor * hist.quantile_ms(0.99),
-                    options_.hedge_min_ms, options_.hedge_max_ms);
+  // Delay = kHedgeFactor x the worker's p99, at least kHedgeMinMs.
+  constexpr double kHedgeFactor = 2.0;
+  constexpr double kHedgeMinMs = 20.0;
+  return std::clamp(kHedgeFactor * hist.quantile_ms(0.99), kHedgeMinMs,
+                    options_.hedge_max_ms);
 }
 
 serve::Client::Reply Router::forward_hedged(
@@ -435,6 +443,7 @@ void Router::handle_job(const std::shared_ptr<Connection>& conn,
   try {
     spec = serve::JobSpec::from_json(Json::parse(payload));
   } catch (const std::exception& e) {
+    jobs_invalid_.fetch_add(1, std::memory_order_relaxed);
     Json err = Json::object();
     err.set("error", Json::string(e.what()));
     reply(conn, static_cast<std::uint32_t>(MsgType::kJobError), err);
@@ -520,9 +529,9 @@ void Router::handle_job(const std::shared_ptr<Connection>& conn,
     // Deterministic backoff, a pure function of (job, attempt): replayed
     // runs schedule identically.  Also rides out the respawn window when
     // no worker currently owns the key.
+    constexpr double kForwardBackoffMs = 50.0;
     Rng jitter(spec.job_key() ^ static_cast<std::uint64_t>(attempt));
-    const double wait_ms =
-        options_.forward_backoff_ms * (0.5 + 0.5 * jitter.uniform());
+    const double wait_ms = kForwardBackoffMs * (0.5 + 0.5 * jitter.uniform());
     std::this_thread::sleep_for(
         std::chrono::microseconds(static_cast<long>(wait_ms * 1000.0)));
   }
@@ -557,6 +566,7 @@ Json Router::metrics() {
   router.set("workers", Json::number(supervisor_.workers()));
   router.set("links_per_worker", Json::number(options_.links_per_worker));
   router.set("accepted", n(jobs_accepted_));
+  router.set("invalid", n(jobs_invalid_));
   router.set("forwarded", n(jobs_forwarded_));
   router.set("completed", n(jobs_completed_));
   router.set("replayed", n(jobs_replayed_));

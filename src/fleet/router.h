@@ -22,7 +22,7 @@
 //    lost returns its bit-identical document without re-solving;
 //  - hedged requests (opt-in): when the session owner has not answered
 //    after an adaptive delay derived from its forward-latency histogram
-//    (hedge_factor x p99, clamped to [hedge_min_ms, hedge_max_ms]), the
+//    (2 x p99, clamped to [20 ms, hedge_max_ms]), the
 //    job is duplicated to another alive worker.  The first kJobResult wins
 //    and is relayed immediately; the late loser's document is normalized
 //    and bit-compared against the winner's before being discarded
@@ -60,17 +60,12 @@ struct RouterOptions {
   std::string uds_path;  ///< "" = no Unix-domain listener
   int tcp_port = -1;     ///< -1 = no TCP listener; 0 = kernel-assigned
   int links_per_worker = 4;            ///< concurrent jobs per worker link pool
-  double link_acquire_timeout_ms = 2000.0;  ///< busy past this -> shed
   double retry_after_ms = 100.0;       ///< hint on router-level sheds
   int forward_max_attempts = 40;       ///< transport replays per job
-  double forward_backoff_ms = 50.0;    ///< base of the replay backoff
-  int ring_replicas = 64;
   // Hedged requests (off by default: a second in-flight copy of every slow
   // job doubles worst-case fleet load, so the caller opts in).
   bool hedge_enabled = false;
-  double hedge_min_ms = 20.0;    ///< floor of the adaptive hedge delay
   double hedge_max_ms = 1000.0;  ///< ceiling (also used below min samples)
-  double hedge_factor = 2.0;     ///< delay = factor x per-worker p99
   int hedge_min_samples = 16;    ///< histogram depth before adapting
   /// Duration of an injected fleet.worker_stall firing (the fault point
   /// sleeps this long in the forward path, modeling a wedged worker).
@@ -164,6 +159,7 @@ class Router {
   std::chrono::steady_clock::time_point start_time_;
 
   std::atomic<std::uint64_t> jobs_accepted_{0};
+  std::atomic<std::uint64_t> jobs_invalid_{0};    ///< failed parse / validation
   std::atomic<std::uint64_t> jobs_forwarded_{0};  ///< forward attempts
   std::atomic<std::uint64_t> jobs_completed_{0};  ///< kJobResult relayed
   std::atomic<std::uint64_t> jobs_replayed_{0};   ///< transport retries

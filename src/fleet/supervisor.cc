@@ -256,6 +256,7 @@ void Supervisor::spawn(Worker& worker) {
 }
 
 void Supervisor::wait_ready(Worker& worker) {
+  constexpr double kReadyTimeoutMs = 60000.0;  // spawn -> first pong
   const auto t0 = std::chrono::steady_clock::now();
   serve::ClientOptions copts;
   copts.connect_timeout_ms = 250;
@@ -268,10 +269,10 @@ void Supervisor::wait_ready(Worker& worker) {
       worker.alive.store(true, std::memory_order_release);
       return;
     } catch (const std::exception&) {
-      if (ms_since(t0) > options_.ready_timeout_ms)
+      if (ms_since(t0) > kReadyTimeoutMs)
         throw Error("fleet: worker on " + worker.socket +
                     " not ready after " +
-                    std::to_string(options_.ready_timeout_ms) + "ms");
+                    std::to_string(kReadyTimeoutMs) + "ms");
       ::usleep(20 * 1000);
     }
   }

@@ -44,7 +44,6 @@ struct SupervisorOptions {
   bool eager_snapshots = true;   ///< persist sessions right after cold build
   bool crash_faults = false;     ///< pass --crash-faults to workers
   std::string worker_faults;     ///< DOSEOPT_FAULTS for workers ("" = inherit)
-  double ready_timeout_ms = 60000.0;  ///< per worker, spawn -> first pong
   bool verbose = false;
 };
 

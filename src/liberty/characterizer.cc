@@ -139,15 +139,15 @@ Library characterize(const tech::DeviceModel& device,
     cell.input_cap_ff = cell_input_cap_ff(device, m, delta_l_nm, delta_w_nm);
     cell.leakage_nw = cell_leakage_nw(device, m, delta_l_nm, delta_w_nm);
 
-    NldmTable table(options.slew_axis_ns, options.load_axis_ff);
+    const NldmTable table(default_slew_axis_ns(), default_load_axis_ff());
     cell.arc.delay_rise = table;
     cell.arc.delay_fall = table;
     cell.arc.slew_rise = table;
     cell.arc.slew_fall = table;
-    for (std::size_t i = 0; i < options.slew_axis_ns.size(); ++i) {
-      for (std::size_t j = 0; j < options.load_axis_ff.size(); ++j) {
-        const double slew = options.slew_axis_ns[i];
-        const double load = options.load_axis_ff[j];
+    for (std::size_t i = 0; i < table.slew_points(); ++i) {
+      for (std::size_t j = 0; j < table.load_points(); ++j) {
+        const double slew = table.slew_axis()[i];
+        const double load = table.load_axis()[j];
         double d, so;
         cell_eval(device, m, delta_l_nm, delta_w_nm, slew, load, true, &d,
                   &so);

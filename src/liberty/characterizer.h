@@ -15,10 +15,9 @@
 
 namespace doseopt::liberty {
 
-/// Characterization controls.
+/// Characterization controls.  Every table spans default_slew_axis_ns()
+/// x default_load_axis_ff().
 struct CharacterizeOptions {
-  std::vector<double> slew_axis_ns = default_slew_axis_ns();
-  std::vector<double> load_axis_ff = default_load_axis_ff();
   /// Pool for the per-master table sweep; nullptr = the process pool.
   /// Masters are characterized independently and assembled in master
   /// order, so the result is identical for any thread count.

@@ -16,6 +16,16 @@ namespace {
 faultinject::FaultPoint g_fault_admm_diverge("qp.admm_diverge");
 faultinject::FaultPoint g_fault_kkt_reject("qp.kkt_reject");
 
+/// ADMM constants: initial penalty rho, proximal regularization sigma,
+/// over-relaxation alpha in (0, 2), the adaptive-rho cadence, and the inner
+/// CG's iteration cap and tolerance floor.
+constexpr double kRho = 0.1;
+constexpr double kSigma = 1e-6;
+constexpr double kAlpha = 1.6;
+constexpr int kRhoUpdateInterval = 50;
+constexpr int kCgMaxIterations = 200;
+constexpr double kCgTolerance = 1e-8;
+
 /// Active-set repair steps allowed per repairing polish.  The stalled
 /// probes of the warm-vs-cold survey in EXPERIMENTS.md needed at most 9.
 constexpr int kRepairSteps = 50;
@@ -337,13 +347,13 @@ bool polish_active_set(const QpSettings& s, const QpProblem& problem,
 namespace {
 
 /// The ADMM iteration loop on pre-scaled data.  `x` and `y` enter in
-/// *scaled* coordinates; the returned solution is unscaled.  `rho_io`
-/// carries the penalty in and out (adaptive updates persist across
-/// incremental solves).  `scratch` supplies every per-iteration vector.
+/// *scaled* coordinates; the returned solution is unscaled.  Every solve
+/// starts from the penalty kRho.  `scratch` supplies every per-iteration
+/// vector.
 QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
                     const Scaling& sc, const la::CsrMatrix& a_s,
                     const la::CsrMatrix& gram, la::Vec& x, la::Vec& y,
-                    double* rho_io, QpScratch& w) {
+                    QpScratch& w) {
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
 
@@ -368,7 +378,7 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
                                            : problem.upper[i] * sc.d[i];
   }
 
-  double rho = *rho_io;
+  double rho = kRho;
 
   la::Vec& z = w.z;
   a_s.multiply(x, z);
@@ -390,7 +400,7 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
   const la::Vec gram_diag = gram.diagonal();
   auto build_precond = [&]() {
     for (std::size_t j = 0; j < n; ++j)
-      precond[j] = p_s[j] + s.sigma + rho * gram_diag[j];
+      precond[j] = p_s[j] + kSigma + rho * gram_diag[j];
   };
   build_precond();
 
@@ -398,7 +408,7 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
   auto kkt_op = [&](const la::Vec& v, la::Vec& out) {
     gram.multiply(v, out);
     for (std::size_t j = 0; j < n; ++j)
-      out[j] = (p_s[j] + s.sigma) * v[j] + rho * out[j];
+      out[j] = (p_s[j] + kSigma) * v[j] + rho * out[j];
   };
   bool polished_early = false;
   bool stall_exit = false;
@@ -411,7 +421,7 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
   int stable_checks = 0;
   std::vector<unsigned char> at_lower(m, 0), at_upper(m, 0);
   la::CgOptions cg_opts;
-  cg_opts.max_iterations = s.cg_max_iterations;
+  cg_opts.max_iterations = kCgMaxIterations;
   // Inexact ADMM: the inner CG tolerance starts loose and tightens with the
   // outer residuals, which cuts the dominant per-iteration cost by an order
   // of magnitude on large dose-map problems without affecting the fixed
@@ -420,23 +430,23 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
 
   for (int iter = 1; iter <= s.max_iterations; ++iter) {
     // x update: (P + sigma I + rho A'A) x~ = sigma x - q + A'(rho z - y).
-    cg_opts.tolerance = std::max(s.cg_tolerance, cg_tol);
+    cg_opts.tolerance = std::max(kCgTolerance, cg_tol);
     for (std::size_t i = 0; i < m; ++i) work_m[i] = rho * z[i] - y[i];
     a_s.multiply_transpose(work_m, rhs);
-    for (std::size_t j = 0; j < n; ++j) rhs[j] += s.sigma * x[j] - q_s[j];
+    for (std::size_t j = 0; j < n; ++j) rhs[j] += kSigma * x[j] - q_s[j];
     x_tilde = x;
     la::conjugate_gradient(kkt_op, rhs, precond, x_tilde, cg_opts, &w.cg_ws);
     a_s.multiply(x_tilde, z_tilde);
 
     // z and y updates with over-relaxation.
     for (std::size_t i = 0; i < m; ++i) {
-      const double zr = s.alpha * z_tilde[i] + (1.0 - s.alpha) * z[i];
+      const double zr = kAlpha * z_tilde[i] + (1.0 - kAlpha) * z[i];
       const double z_new = std::clamp(zr + y[i] / rho, l_s[i], u_s[i]);
       y[i] += rho * (zr - z_new);
       z[i] = z_new;
     }
     for (std::size_t j = 0; j < n; ++j)
-      x[j] = s.alpha * x_tilde[j] + (1.0 - s.alpha) * x[j];
+      x[j] = kAlpha * x_tilde[j] + (1.0 - kAlpha) * x[j];
 
     sol.iterations = iter;
     if (iter % s.check_interval != 0 && iter != s.max_iterations) continue;
@@ -492,7 +502,7 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
     // Clamp-detected active set of the current iterate (an active row holds
     // its scaled bound exactly after the z update), and its signature for
     // the early-polish triggers below.
-    if (s.polish && s.early_polish) {
+    if (s.early_polish) {
       std::uint64_t h = 1469598103934665603ull;
       for (std::size_t i = 0; i < m; ++i) {
         unsigned char tag = 0;
@@ -556,7 +566,7 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
     // active set) the final polish would produce, so exiting with it early
     // changes nothing but the runtime.
     const int plateau = iter - last_progress_iter;
-    if (s.polish && s.early_polish) {
+    if (s.early_polish) {
       const bool stable_new = stable_checks >= 2 && set_hash != tried_hash;
       const bool stalled =
           plateau >= 100 && plateau % 100 == 0 && set_hash != tried_hash;
@@ -588,7 +598,7 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
     }
 
     // Adaptive rho: balance scaled primal/dual residuals.
-    if (s.adaptive_rho && iter % s.rho_update_interval == 0) {
+    if (iter % kRhoUpdateInterval == 0) {
       double sp = 0.0, sd = 0.0, saxn = 0.0, szn = 0.0, spxn = 0.0,
              satn = 0.0, sqn = 0.0;
       for (std::size_t i = 0; i < m; ++i) {
@@ -614,7 +624,6 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
     }
   }
 
-  *rho_io = rho;
   if (polished_early) return sol;
 
   // --- unscale the solution ---
@@ -626,7 +635,7 @@ QpSolution run_admm(const QpSettings& s, const QpProblem& problem,
   for (std::size_t i = 0; i < m; ++i) sol.z[i] = z[i] / sc.d[i];
   sol.objective = problem.objective(sol.x);
 
-  if (s.polish && sol.status != QpStatus::kPrimalInfeasible) {
+  if (sol.status != QpStatus::kPrimalInfeasible) {
     // Active set from the final iterate: the z update clamps, so an active
     // row holds its scaled bound exactly.  Only a stalled solve repairs
     // it: the points the other exits accept carry ~28 wrong-signed
@@ -659,8 +668,7 @@ QpSolution QpSolver::solve(const QpProblem& problem, const la::Vec& x0,
   la::Vec x(n), y(m);
   for (std::size_t j = 0; j < n; ++j) x[j] = x0[j] / sc.e[j];
   for (std::size_t i = 0; i < m; ++i) y[i] = sc.c * y0[i] / sc.d[i];
-  double rho = settings_.rho;
-  return run_admm(settings_, problem, sc, a_s, gram, x, y, &rho, scratch);
+  return run_admm(settings_, problem, sc, a_s, gram, x, y, scratch);
 }
 
 QpSolution QpSolver::solve_incremental(const QpProblem& problem,
@@ -754,7 +762,7 @@ QpSolution QpSolver::solve_incremental(const QpProblem& problem,
   // tuned by the adaptive scheme for the previous solve's active set, and
   // re-entering the next solve with it measurably locks the iteration into
   // slow residual oscillation (17-70% more iterations on the AES-65 probe
-  // sequence than restarting from the default).
+  // sequence than restarting from kRho).
   la::Vec& x = state.scratch.seed_x;
   la::Vec& y = state.scratch.seed_y;
   x.assign(n, 0.0);
@@ -765,9 +773,8 @@ QpSolution QpSolver::solve_incremental(const QpProblem& problem,
   for (std::size_t i = 0; i < carried; ++i)
     y[i] = sc.c * state.y[i] / sc.d[i];
 
-  double rho = settings_.rho;
   QpSolution sol = run_admm(settings_, problem, sc, state.a_scaled,
-                            state.gram, x, y, &rho, state.scratch);
+                            state.gram, x, y, state.scratch);
 
   // Injected divergence: poison the iterate exactly as a blown-up ADMM
   // sequence would surface it, so the real recovery path runs.
@@ -797,7 +804,6 @@ QpSolution QpSolver::solve_incremental(const QpProblem& problem,
 
   state.x = sol.x;
   state.y = sol.y;
-  state.rho = rho;
   return sol;
 }
 

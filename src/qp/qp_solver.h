@@ -13,10 +13,17 @@
 // factorization is required, so problems with hundreds of thousands of
 // constraints (arrival-time rows for ~100k-cell designs) stay tractable.
 //
-// The active-set polish solves its dual Schur system by CG from a zero
-// start, stopping once the Schur residual -- the active rows' primal
-// residual up to a 1e-12 regularization -- is below 1e-3 * eps_abs, far
-// under what its KKT acceptance test can resolve.
+// After ADMM terminates, every solve that is not certified infeasible
+// re-solves the equality-constrained QP on the detected active set to near
+// machine precision (OSQP-style polish).  The polished solution is a
+// deterministic function of (problem, active set) alone -- independent of
+// the ADMM trajectory -- so warm- and cold-started solves that agree on the
+// active set return bit-identical solutions; the ADMM iterate stands when
+// the polished point fails the KKT tolerances (wrong active-set guess).
+// The polish solves its dual Schur system by CG from a zero start,
+// stopping once the Schur residual -- the active rows' primal residual up
+// to a 1e-12 regularization -- is below 1e-3 * eps_abs, far under what its
+// KKT acceptance test can resolve.
 //
 // The dose-map formulations of the paper fit this shape exactly: the delta-
 // leakage objective is separable (diagonal quadratic), and dose-range,
@@ -60,22 +67,14 @@ struct QpSettings {
   int max_iterations = 4000;
   double eps_abs = 1e-5;
   double eps_rel = 1e-5;
-  double rho = 0.1;          ///< initial ADMM penalty
-  double sigma = 1e-6;       ///< proximal regularization
-  double alpha = 1.6;        ///< over-relaxation in (0, 2)
-  bool adaptive_rho = true;
-  int rho_update_interval = 50;
-  int cg_max_iterations = 200;
-  double cg_tolerance = 1e-8;
   int check_interval = 10;   ///< termination-check cadence
   /// Stall exit: stop early (status kMaxIterations) when neither residual
   /// has improved by 1% for this many iterations -- the signature of a
   /// near-infeasible problem where the primal iterate has already reached
   /// its limit point and further iterations buy nothing.  A stalled
-  /// solve's polish (when enabled) repairs its active-set guess by
-  /// active-set steps and returns the KKT point it finds as kSolved, so a
-  /// feasible problem caught in a residual limit cycle still leaves
-  /// polished.  0 (default) disables, keeping the historical
+  /// solve's polish repairs its active-set guess by active-set steps and
+  /// returns the KKT point it finds as kSolved, so a feasible problem
+  /// caught in a residual limit cycle still leaves polished.  0 (default) disables, keeping the historical
   /// run-to-max_iterations behavior.
   int stall_window = 0;
   /// Attempt the active-set polish *during* the iteration -- whenever the
@@ -95,14 +94,6 @@ struct QpSettings {
   /// every solve runs the historical cold path (full equilibration, zero
   /// dual) -- the A/B switch for the incremental cutting-plane path.
   bool warm_start = true;
-  /// After ADMM terminates, re-solve the equality-constrained QP on the
-  /// detected active set to near machine precision (OSQP-style polish).
-  /// The polished solution is a deterministic function of (problem, active
-  /// set) alone -- independent of the ADMM trajectory -- so warm- and
-  /// cold-started solves that agree on the active set return bit-identical
-  /// solutions.  Falls back to the ADMM iterate if the polished point fails
-  /// the KKT tolerances (wrong active-set guess).
-  bool polish = true;
 };
 
 /// Solve outcome.
@@ -159,10 +150,6 @@ struct QpWarmState {
   la::Vec col_scale;        ///< e (n)
   la::Vec row_scale;        ///< d, grows with appended rows
   double cost_scale = 1.0;  ///< c
-  /// Last solve's adaptively tuned penalty, for diagnostics only: re-entering
-  /// the next solve with it measurably slows convergence (it is tuned for
-  /// the previous active set), so every solve restarts from settings.rho.
-  double rho = 0.0;
   la::CsrMatrix a_scaled;   ///< D A E for the cached rows
   la::CsrMatrix gram;       ///< A~' A~, rebuilt with a_scaled
   std::size_t rows_cached = 0;

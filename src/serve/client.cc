@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <utility>
 
@@ -110,11 +111,13 @@ Client::Reply Client::submit_with_retry(const JobSpec& spec,
                                         const RetryPolicy& policy) {
   // One generator for the whole call: the jitter sequence (and therefore
   // the retry schedule) is a pure function of the seed.
-  Rng jitter(policy.jitter_seed);
+  constexpr std::uint64_t kJitterSeed = 0x5eed;
+  constexpr double kMultiplier = 2.0;
+  Rng jitter(kJitterSeed);
   auto backoff_ms = [&](int attempt) {
     double ms = policy.base_ms;
     for (int i = 0; i < attempt && ms < policy.max_ms; ++i)
-      ms *= policy.multiplier;
+      ms *= kMultiplier;
     ms = std::min(ms, policy.max_ms);
     return ms * (0.5 + 0.5 * jitter.uniform());
   };
@@ -148,12 +151,12 @@ Client::Reply Client::submit_with_retry(const JobSpec& spec,
       have_reply = true;
     } catch (const std::exception& e) {
       // Transport died mid-round-trip; the connection's framing state is
-      // unknown, so drop it and (maybe) try again on a fresh one.  The
+      // unknown, so drop it and try again on a fresh one.  The
       // server memoizes by job key, so a re-submitted job whose reply was
       // lost returns the identical cached result.
       last_error = e.what();
       disconnect();
-      if (!policy.retry_on_transport_error || attempt + 1 >= attempts) throw;
+      if (attempt + 1 >= attempts) throw;
       sleep_ms(backoff_ms(attempt));
       continue;
     }

@@ -15,7 +15,6 @@
 // re-solving.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "serve/job.h"
@@ -32,19 +31,15 @@ struct ClientOptions {
 };
 
 /// Retry schedule for submit_with_retry(): attempt k (0-based) sleeps
-/// min(max_ms, base_ms * multiplier^k) scaled by a deterministic jitter in
-/// [1/2, 1) drawn from common::Rng(jitter_seed) -- the same seed always
-/// produces the same backoff sequence.
+/// min(max_ms, base_ms * 2^k) scaled by a deterministic jitter in [1/2, 1)
+/// drawn from a fixed-seed common::Rng, so every call produces the same
+/// backoff sequence.  Transport errors are always retried (reconnecting
+/// first), and rejections (backpressure / open circuit breaker) are
+/// retried after the server-suggested retry_after_ms.
 struct RetryPolicy {
   int max_attempts = 16;
   double base_ms = 25.0;
-  double multiplier = 2.0;
   double max_ms = 2000.0;
-  std::uint64_t jitter_seed = 0x5eed;
-  /// Also retry transport errors (reconnecting first).  Rejections
-  /// (backpressure / open circuit breaker) are always retried after the
-  /// server-suggested retry_after_ms.
-  bool retry_on_transport_error = true;
   /// Also retry kJobError replies (transient injected/solver faults).
   bool retry_on_job_error = false;
 };

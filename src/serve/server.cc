@@ -218,6 +218,7 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn,
   try {
     spec = JobSpec::from_json(Json::parse(payload));
   } catch (const std::exception& e) {
+    jobs_invalid_.fetch_add(1, std::memory_order_relaxed);
     Json err = Json::object();
     err.set("error", Json::string(e.what()));
     reply(conn, static_cast<std::uint32_t>(MsgType::kJobError), err);
@@ -316,8 +317,9 @@ void Server::execute_job(PendingJob job) {
                        job.spec.id.c_str(), attempt, e.what());
         // Deterministic backoff: a pure function of (job key, attempt), so
         // a replayed faulted run schedules identically.
+        constexpr double kRetryBackoffMs = 10.0;
         Rng jitter(job.spec.job_key() ^ static_cast<std::uint64_t>(attempt));
-        const double wait_ms = options_.job_retry_backoff_ms *
+        const double wait_ms = kRetryBackoffMs *
                                static_cast<double>(attempt) *
                                (0.5 + 0.5 * jitter.uniform());
         std::this_thread::sleep_for(
@@ -555,6 +557,7 @@ Json Server::metrics() const {
   };
   Json jobs = Json::object();
   jobs.set("accepted", n(jobs_accepted_));
+  jobs.set("invalid", n(jobs_invalid_));
   jobs.set("completed", n(jobs_completed_));
   jobs.set("failed", n(jobs_failed_));
   jobs.set("rejected", n(jobs_rejected_));

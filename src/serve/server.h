@@ -49,12 +49,12 @@ struct ServerOptions {
   std::string snapshot_dir;          ///< "" = no warm-start persistence
   bool verbose = false;              ///< log job lifecycle to stderr
   /// Self-healing knobs.  A failing job is re-attempted in place up to
-  /// job_max_attempts times (deterministic backoff between attempts);
+  /// job_max_attempts times (deterministic backoff between attempts,
+  /// attempt k waiting k x 10 ms scaled by a jitter in [1/2, 1));
   /// breaker_threshold consecutive *exhausted* jobs trip the circuit
   /// breaker, which sheds new requests with kJobRejected (retry_after =
   /// remaining cooldown) until breaker_cooldown_ms elapses.
   int job_max_attempts = 2;
-  double job_retry_backoff_ms = 10.0;
   int breaker_threshold = 8;      ///< 0 disables the breaker
   double breaker_cooldown_ms = 1000.0;
   /// Fleet knobs.  result_store_dir points every worker of a fleet at one
@@ -163,6 +163,7 @@ class Server {
   std::chrono::steady_clock::time_point start_time_;
 
   std::atomic<std::uint64_t> jobs_accepted_{0};
+  std::atomic<std::uint64_t> jobs_invalid_{0};  ///< failed parse / validation
   std::atomic<std::uint64_t> jobs_completed_{0};
   std::atomic<std::uint64_t> jobs_failed_{0};
   std::atomic<std::uint64_t> jobs_rejected_{0};

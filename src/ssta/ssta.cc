@@ -529,7 +529,7 @@ SstaResult SstaTimer::analyze(const sta::VariantAssignment& base,
 
   // One cell's output-net forms.  It reads the forms of its fanin nets
   // (all on lower levels) and writes only its own output net's.
-  const double boundary_slew = tm.options_.input_slew_ns;
+  const double boundary_slew = sta::kInputSlewNs;
   auto propagate = [&](CellId c) {
     const netlist::Cell& cell = nl.cell(c);
     const sta::CellTiming& ct = st.result_.cells[c];

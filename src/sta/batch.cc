@@ -298,7 +298,7 @@ BatchTimingResult BatchedTimer::analyze_batch_indices(
   // --- lane-invariant PO wire delays ---
   w.po_wd.assign(net_count, 0.0);
   for (NetId n : nl.primary_outputs())
-    w.po_wd[n] = par.wire_delay_ns(n, t.options_.output_load_ff);
+    w.po_wd[n] = par.wire_delay_ns(n, kOutputLoadFf);
 
   // --- per-net load panels (wire cap + sink pin caps + PO load), summed in
   // the scalar kernel's sink order ---
@@ -310,7 +310,7 @@ BatchTimingResult BatchedTimer::analyze_batch_indices(
     for (const netlist::SinkPin& s : net.sinks)
       la::lane_add(K, lp, &w.cap[static_cast<std::size_t>(s.cell) * K], lp);
     if (net.is_primary_output)
-      for (int l = 0; l < K; ++l) lp[l] += t.options_.output_load_ff;
+      for (int l = 0; l < K; ++l) lp[l] += kOutputLoadFf;
   }
 
   // --- initial net panels: PIs launch at 0 with the boundary slew; the
@@ -319,7 +319,7 @@ BatchTimingResult BatchedTimer::analyze_batch_indices(
   if (want_slacks) w.net_min_arrival.assign(net_count * K, 0.0);
   w.net_slew.resize(net_count * K);
   for (std::size_t ni = 0; ni < net_count; ++ni)
-    la::lane_fill(K, t.options_.input_slew_ns, &w.net_slew[ni * K]);
+    la::lane_fill(K, kInputSlewNs, &w.net_slew[ni * K]);
 
   // Fault injection: poison one lane's initial panels with NaN.  The
   // checksum validation below must catch it (max/min reductions silently
@@ -353,7 +353,7 @@ BatchTimingResult BatchedTimer::analyze_batch_indices(
     double os[K];
 
     if (cell.sequential) {
-      la::lane_fill(K, t.options_.clock_slew_ns, isl);
+      la::lane_fill(K, kClockSlewNs, isl);
       eval_arc_lanes(&w.lane_ref[cK], isl, lp, gd, os);
       std::memcpy(&w.net_arrival[static_cast<std::size_t>(out) * K], gd,
                   sizeof(double) * K);
@@ -369,7 +369,7 @@ BatchTimingResult BatchedTimer::analyze_batch_indices(
     double wa[K], ba[K];
     la::lane_fill(K, 0.0, wa);
     la::lane_fill(K, 1e30, ba);
-    la::lane_fill(K, t.options_.input_slew_ns, isl);
+    la::lane_fill(K, kInputSlewNs, isl);
     for (std::size_t e = t.fanin_ptr_[c]; e < t.fanin_ptr_[c + 1]; ++e) {
       const std::size_t nK = static_cast<std::size_t>(t.fanin_net_[e]) * K;
       const extract::NetParasitics& p = par.net(t.fanin_net_[e]);

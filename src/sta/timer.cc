@@ -120,7 +120,7 @@ double Timer::compute_net_load(const TimingState& state, NetId n) const {
   double load = parasitics_->net(n).wire_cap_ff;
   for (const netlist::SinkPin& s : net.sinks)
     load += state.lib_cell_[s.cell]->input_cap_ff;
-  if (net.is_primary_output) load += options_.output_load_ff;
+  if (net.is_primary_output) load += kOutputLoadFf;
   return load;
 }
 
@@ -147,19 +147,19 @@ void Timer::compute_cell(TimingState& state, CellId c, CellTiming& ct) const {
 
   if (cell.sequential) {
     // Launch point: clk->Q delay from the clock edge.
-    ct.input_slew_ns = options_.clock_slew_ns;
+    ct.input_slew_ns = kClockSlewNs;
     ct.gate_delay_ns =
-        lib_cell.arc.delay_ns(options_.clock_slew_ns, ct.load_ff);
+        lib_cell.arc.delay_ns(kClockSlewNs, ct.load_ff);
     ct.arrival_ns = ct.gate_delay_ns;
     ct.min_arrival_ns = ct.gate_delay_ns;
     ct.output_slew_ns =
-        lib_cell.arc.out_slew_ns(options_.clock_slew_ns, ct.load_ff);
+        lib_cell.arc.out_slew_ns(kClockSlewNs, ct.load_ff);
     return;
   }
 
   double worst_arrival = 0.0;
   double best_arrival = 1e30;
-  double worst_slew = options_.input_slew_ns;
+  double worst_slew = kInputSlewNs;
   for (std::size_t e = fanin_ptr_[c]; e < fanin_ptr_[c + 1]; ++e) {
     const NetId n = fanin_net_[e];
     const double wire = state.edge_wire_delay_[e];
@@ -275,8 +275,7 @@ void Timer::init_state(TimingState& state,
 
   state.po_wire_delay_.assign(net_count, 0.0);
   for (NetId n : nl.primary_outputs())
-    state.po_wire_delay_[n] =
-        parasitics_->wire_delay_ns(n, options_.output_load_ff);
+    state.po_wire_delay_[n] = parasitics_->wire_delay_ns(n, kOutputLoadFf);
 
   state.edge_wire_delay_.assign(fanin_net_.size(), 0.0);
   state.edge_wire_slew_.assign(fanin_net_.size(), 0.0);
@@ -290,7 +289,7 @@ void Timer::init_state(TimingState& state,
   // PI nets launch at time 0 with the boundary input slew.
   state.net_arrival_.assign(net_count, 0.0);
   state.net_min_arrival_.assign(net_count, 0.0);
-  state.net_slew_.assign(net_count, options_.input_slew_ns);
+  state.net_slew_.assign(net_count, kInputSlewNs);
 
   state.result_.cells.assign(cell_count, CellTiming{});
   for (CellId c : topo_order_) {
@@ -384,8 +383,7 @@ const TimingResult& Timer::incremental_update(
     state.net_par_queued_[n] = epoch;
     mark_net_load(n);  // wire cap contributes to the net load
     if (nl.net(n).is_primary_output)
-      state.po_wire_delay_[n] =
-          parasitics_->wire_delay_ns(n, options_.output_load_ff);
+      state.po_wire_delay_[n] = parasitics_->wire_delay_ns(n, kOutputLoadFf);
     // Every consumer edge's wire delay/slew is stale.
     for (std::size_t k = net_cons_ptr_[n]; k < net_cons_ptr_[n + 1]; ++k) {
       const CellId c = net_cons_cell_[k];
@@ -595,7 +593,7 @@ std::vector<TimingPath> Timer::top_paths(const VariantAssignment& variants,
     const CellId drv = nl.net(n).driver;
     if (drv == kNoCell) continue;
     seeds.push_back(
-        {arrival(drv) + parasitics_->wire_delay_ns(n, options_.output_load_ff),
+        {arrival(drv) + parasitics_->wire_delay_ns(n, kOutputLoadFf),
          drv, kNoCell, n});
   }
 

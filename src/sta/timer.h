@@ -83,12 +83,15 @@ class VariantAssignment {
   std::vector<std::pair<int, int>> variants_;
 };
 
+/// Fixed analysis conditions: the slew at every primary input, the slew at
+/// every flop's clock pin, and the external load on every primary output.
+inline constexpr double kInputSlewNs = 0.05;
+inline constexpr double kClockSlewNs = 0.04;
+inline constexpr double kOutputLoadFf = 4.0;
+
 /// Analysis conditions.
 struct TimingOptions {
   double clock_ns = 0.0;      ///< 0 => use the computed MCT as the clock
-  double input_slew_ns = 0.05;
-  double clock_slew_ns = 0.04;
-  double output_load_ff = 4.0;
 };
 
 /// Per-cell timing quantities (all at the cell *output* unless noted).

@@ -33,6 +33,7 @@
 #include "serve/job.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
+#include "serve/socket.h"
 
 namespace doseopt {
 namespace {
@@ -453,6 +454,42 @@ TEST(FleetE2E, WorkerBackpressureRelaysThroughRouterUntouched) {
   const Json m = router.metrics();
   EXPECT_GE(m.get("router").get_number("rejects_relayed", 0.0), 1.0);
   EXPECT_EQ(m.get("router").get_number("shed", -1.0), 0.0);
+
+  router.stop();
+  supervisor.stop();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FleetE2E, MalformedRequestAnswersJobError) {
+  const std::string dir = fleet_dir("badreq");
+
+  fleet::SupervisorOptions sup;
+  sup.runtime_dir = dir;
+  sup.workers = 1;
+  sup.lanes = 1;
+  fleet::Supervisor supervisor(sup);
+  supervisor.start();
+
+  fleet::RouterOptions route;
+  route.uds_path = dir + "/router.sock";
+  fleet::Router router(route, supervisor);
+  router.start();
+
+  // Both frames fail in the router itself: one does not validate, the
+  // other does not parse.  Neither is forwarded.
+  const int fd = serve::connect_unix(route.uds_path);
+  serve::write_frame(fd, MsgType::kJobRequest, "{\"scale\": -3}");
+  serve::Frame frame;
+  ASSERT_TRUE(serve::read_frame(fd, &frame));
+  EXPECT_EQ(frame.type, MsgType::kJobError);
+  serve::write_frame(fd, MsgType::kJobRequest, "not json at all");
+  ASSERT_TRUE(serve::read_frame(fd, &frame));
+  EXPECT_EQ(frame.type, MsgType::kJobError);
+  const Json r = router.metrics().get("router");
+  EXPECT_EQ(r.get_number("invalid", -1.0), 2.0);
+  EXPECT_EQ(r.get_number("accepted", -1.0), 0.0);
+  EXPECT_EQ(r.get_number("forwarded", -1.0), 0.0);
+  serve::close_socket(fd);
 
   router.stop();
   supervisor.stop();

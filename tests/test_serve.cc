@@ -423,6 +423,9 @@ TEST(ServerE2E, MalformedRequestAnswersJobError) {
   serve::write_frame(fd, MsgType::kJobRequest, "not json at all");
   ASSERT_TRUE(serve::read_frame(fd, &frame));
   EXPECT_EQ(frame.type, MsgType::kJobError);
+  const Json jobs = server.metrics().get("jobs");
+  EXPECT_EQ(jobs.get_number("invalid", -1.0), 2.0);
+  EXPECT_EQ(jobs.get_number("accepted", -1.0), 0.0);
   serve::close_socket(fd);
   server.stop();
 }

@@ -161,7 +161,6 @@ struct BruteEntry {
 std::vector<BruteEntry> brute_force_paths(const netlist::Netlist& nl,
                                           const extract::Parasitics& para,
                                           liberty::LibraryRepository& repo,
-                                          const Timer& timer,
                                           const TimingResult& timing) {
   std::vector<BruteEntry> out;
   struct Frame {
@@ -205,7 +204,7 @@ std::vector<BruteEntry> brute_force_paths(const netlist::Netlist& nl,
     if (drv == netlist::kNoCell) continue;
     stack.push_back(
         {drv,
-         arrival(drv) + para.wire_delay_ns(n, timer.options().output_load_ff),
+         arrival(drv) + para.wire_delay_ns(n, sta::kOutputLoadFf),
          netlist::kNoCell, n, {drv}});
   }
   while (!stack.empty()) {
@@ -282,7 +281,7 @@ TEST_P(TopPathsExact, MatchesBruteForce) {
   VariantAssignment va(d.netlist->cell_count());
   const TimingResult timing = timer.analyze(va);
 
-  const auto brute = brute_force_paths(*d.netlist, para, repo, timer, timing);
+  const auto brute = brute_force_paths(*d.netlist, para, repo, timing);
   ASSERT_FALSE(brute.empty());
   for (std::size_t k : {std::size_t{1}, std::size_t{200}, brute.size() / 2,
                         brute.size(), brute.size() + 7})
@@ -346,7 +345,7 @@ TEST(TopPathsTies, LadderMatchesBruteForceAtEveryK) {
   const VariantAssignment va(d.netlist->cell_count());
   const TimingResult timing = timer.analyze(va);
   const auto brute =
-      brute_force_paths(*d.netlist, d.parasitics, *d.repo, timer, timing);
+      brute_force_paths(*d.netlist, d.parasitics, *d.repo, timing);
   const std::size_t register_paths = 3u << kStages;
   ASSERT_EQ(brute.size(), register_paths + 2);
   // The premise: most paths tie, so the canonical key alone orders them.
