@@ -6,61 +6,40 @@
 
 namespace doseopt::liberty {
 
-double TimingArc::delay_ns(double slew_ns, double load_ff) const {
-  return std::max(delay_rise.evaluate(slew_ns, load_ff),
-                  delay_fall.evaluate(slew_ns, load_ff));
+ArcTiming TimingArc::evaluate_per_table(double slew_ns,
+                                        double load_ff) const {
+  return {std::max(delay_rise.evaluate(slew_ns, load_ff),
+                   delay_fall.evaluate(slew_ns, load_ff)),
+          std::max(slew_rise.evaluate(slew_ns, load_ff),
+                   slew_fall.evaluate(slew_ns, load_ff))};
 }
 
-double TimingArc::out_slew_ns(double slew_ns, double load_ff) const {
-  return std::max(slew_rise.evaluate(slew_ns, load_ff),
-                  slew_fall.evaluate(slew_ns, load_ff));
-}
-
-namespace {
-
-/// out[i] = max(a[i], b[i]) with std::max semantics (first argument wins on
-/// unordered comparisons), matching the scalar delay_ns/out_slew_ns.
-inline void lane_max(int k, const double* a, const double* b, double* out) {
-  for (int i = 0; i < k; ++i) out[i] = std::max(a[i], b[i]);
-}
-
-}  // namespace
-
-void TimingArc::delay_ns_batch(int k, const double* slew_ns,
-                               const double* load_ff, double* out) const {
-  double rise[kMaxNldmBatch], fall[kMaxNldmBatch];
-  for (int base = 0; base < k; base += kMaxNldmBatch) {
-    const int m = std::min(k - base, kMaxNldmBatch);
-    delay_rise.evaluate_batch(m, slew_ns + base, load_ff + base, rise);
-    delay_fall.evaluate_batch(m, slew_ns + base, load_ff + base, fall);
-    lane_max(m, rise, fall, out + base);
-  }
-}
-
-void TimingArc::out_slew_ns_batch(int k, const double* slew_ns,
-                                  const double* load_ff, double* out) const {
-  double rise[kMaxNldmBatch], fall[kMaxNldmBatch];
-  for (int base = 0; base < k; base += kMaxNldmBatch) {
-    const int m = std::min(k - base, kMaxNldmBatch);
-    slew_rise.evaluate_batch(m, slew_ns + base, load_ff + base, rise);
-    slew_fall.evaluate_batch(m, slew_ns + base, load_ff + base, fall);
-    lane_max(m, rise, fall, out + base);
-  }
-}
-
-bool TimingArc::shared_axes() const {
-  return delay_rise.slew_axis() == delay_fall.slew_axis() &&
-         delay_rise.slew_axis() == slew_rise.slew_axis() &&
-         delay_rise.slew_axis() == slew_fall.slew_axis() &&
-         delay_rise.load_axis() == delay_fall.load_axis() &&
-         delay_rise.load_axis() == slew_rise.load_axis() &&
-         delay_rise.load_axis() == slew_fall.load_axis();
+void TimingArc::finalize() {
+  // An empty (default) table keeps the per-table path, which rejects it.
+  const bool shared = delay_rise.slew_points() > 0 &&
+                      delay_rise.slew_axis() == delay_fall.slew_axis() &&
+                      delay_rise.slew_axis() == slew_rise.slew_axis() &&
+                      delay_rise.slew_axis() == slew_fall.slew_axis() &&
+                      delay_rise.load_axis() == delay_fall.load_axis() &&
+                      delay_rise.load_axis() == slew_rise.load_axis() &&
+                      delay_rise.load_axis() == slew_fall.load_axis();
+  slew_axis_ = nullptr;
+  if (!shared) return;
+  slew_axis_ = delay_rise.slew_axis().data();
+  load_axis_ = delay_rise.load_axis().data();
+  n_slew_ = static_cast<std::uint32_t>(delay_rise.slew_points());
+  n_load_ = static_cast<std::uint32_t>(delay_rise.load_points());
+  values_[0] = delay_rise.values_data();
+  values_[1] = delay_fall.values_data();
+  values_[2] = slew_rise.values_data();
+  values_[3] = slew_fall.values_data();
 }
 
 void Library::add_cell(CharacterizedCell cell) {
   DOSEOPT_CHECK(!by_name_.contains(cell.name),
                 "Library::add_cell: duplicate cell " + cell.name);
   by_name_.emplace(cell.name, cells_.size());
+  cell.arc.finalize();
   cells_.push_back(std::move(cell));
 }
 

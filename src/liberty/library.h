@@ -7,6 +7,8 @@
 // leakage, all evaluated at (L_nominal + dL, W + dW).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -17,34 +19,68 @@
 
 namespace doseopt::liberty {
 
-/// Stack-buffer width of the batched arc evaluations; larger batches are
-/// processed in chunks of this size.
-inline constexpr int kMaxNldmBatch = 8;
+/// Gate delay and output slew of a timing arc at one (slew, load) point,
+/// each the worst (max) of rise and fall.
+struct ArcTiming {
+  double delay_ns = 0.0;
+  double slew_ns = 0.0;
+};
 
 /// One timing arc (input pin -> output), rise and fall.
+///
+/// Move-only: finalize() caches raw views of the tables' buffers, which a
+/// move carries along and a copy would not.
 struct TimingArc {
   NldmTable delay_rise;
   NldmTable delay_fall;
   NldmTable slew_rise;
   NldmTable slew_fall;
 
-  /// Worst (max) of rise/fall delay at (slew, load).
-  double delay_ns(double slew_ns, double load_ff) const;
+  TimingArc() = default;
+  TimingArc(const TimingArc&) = delete;
+  TimingArc& operator=(const TimingArc&) = delete;
+  TimingArc(TimingArc&&) noexcept = default;
+  TimingArc& operator=(TimingArc&&) noexcept = default;
 
-  /// Worst (max) of rise/fall output slew at (slew, load).
-  double out_slew_ns(double slew_ns, double load_ff) const;
+  /// Decide once whether all four tables share identical slew and load
+  /// axes (the characterizer always builds arcs this way) and, if so,
+  /// cache the fused view evaluate() reads; Library::add_cell calls it.
+  /// An arc never finalized takes the per-table path, which is slower but
+  /// equal.  Call it again after replacing or resizing a table.
+  void finalize();
 
-  /// Batched forms: k (slew, load) pairs in, k worst-case values out, each
-  /// lane bitwise-equal to the scalar call with that lane's pair.
-  void delay_ns_batch(int k, const double* slew_ns, const double* load_ff,
-                      double* out) const;
-  void out_slew_ns_batch(int k, const double* slew_ns, const double* load_ff,
-                         double* out) const;
+  /// The arc lookup of every timer.  With shared axes: one segment search
+  /// per axis and four bilinear interpolations off the 56-byte fused view;
+  /// otherwise max-of-rise/fall over four NldmTable::evaluate()
+  /// calls.  Both paths pick the same segments and run the same
+  /// interpolation expression, so the result is bitwise-equal to the
+  /// per-table reference for every input; a NaN slew or load gives NaN.
+  ArcTiming evaluate(double slew_ns, double load_ff) const {
+    if (slew_axis_ == nullptr) return evaluate_per_table(slew_ns, load_ff);
+    const double* sa = slew_axis_;
+    const double* la = load_axis_;
+    const std::size_t i = axis_segment(sa, n_slew_, slew_ns);
+    const std::size_t j = axis_segment(la, n_load_, load_ff);
+    const double ts = (slew_ns - sa[i]) / (sa[i + 1] - sa[i]);
+    const double tl = (load_ff - la[j]) / (la[j + 1] - la[j]);
+    const std::size_t nl = n_load_;
+    return {std::max(bilinear(values_[0], nl, i, j, ts, tl),
+                     bilinear(values_[1], nl, i, j, ts, tl)),
+            std::max(bilinear(values_[2], nl, i, j, ts, tl),
+                     bilinear(values_[3], nl, i, j, ts, tl))};
+  }
 
-  /// True when all four tables share identical slew and load axes (the
-  /// characterizer always builds arcs this way); the batched STA kernel
-  /// then performs one axis search per lane for the whole arc.
-  bool shared_axes() const;
+ private:
+  ArcTiming evaluate_per_table(double slew_ns, double load_ff) const;
+
+  // The fused view, set by finalize() when the axes are shared: the shared
+  // axes and the value grids of delay rise/fall and slew rise/fall.
+  // slew_axis_ == nullptr selects the per-table path.
+  const double* slew_axis_ = nullptr;
+  const double* load_axis_ = nullptr;
+  const double* values_[4] = {};
+  std::uint32_t n_slew_ = 0;
+  std::uint32_t n_load_ = 0;
 };
 
 /// A master characterized at this library's variant geometry.

@@ -17,9 +17,10 @@ void check_axis(const std::vector<double>& axis, const char* what) {
 }
 
 /// Find i such that axis[i] <= x <= axis[i+1], clamped to valid segments so
-/// out-of-range x extrapolates from the nearest edge segment.
+/// out-of-range x extrapolates from the nearest edge segment.  NaN fails
+/// every comparison and takes the first segment, like axis_segment().
 std::size_t segment_index(const std::vector<double>& axis, double x) {
-  if (x <= axis.front()) return 0;
+  if (!(x > axis.front())) return 0;
   if (x >= axis.back()) return axis.size() - 2;
   const auto it = std::upper_bound(axis.begin(), axis.end(), x);
   return static_cast<std::size_t>(it - axis.begin()) - 1;
@@ -61,41 +62,7 @@ double NldmTable::evaluate(double slew_ns, double load_ff) const {
   const double l0 = load_axis_[j], l1 = load_axis_[j + 1];
   const double ts = (slew_ns - s0) / (s1 - s0);  // may be <0 or >1: extrapolate
   const double tl = (load_ff - l0) / (l1 - l0);
-  const double v00 = at(i, j), v01 = at(i, j + 1);
-  const double v10 = at(i + 1, j), v11 = at(i + 1, j + 1);
-  const double v0 = v00 + (v01 - v00) * tl;
-  const double v1 = v10 + (v11 - v10) * tl;
-  return v0 + (v1 - v0) * ts;
-}
-
-void NldmTable::evaluate_batch(int k, const double* slew_ns,
-                               const double* load_ff, double* out) const {
-  DOSEOPT_CHECK(!values_.empty(), "NldmTable::evaluate_batch on empty table");
-  const double* sa = slew_axis_.data();
-  const double* la = load_axis_.data();
-  const std::size_t ns = slew_axis_.size();
-  const std::size_t nl = load_axis_.size();
-  const double* v = values_.data();
-  for (int lane = 0; lane < k; ++lane) {
-    const double s = slew_ns[lane];
-    const double l = load_ff[lane];
-    // Linear edge-clamped segment walk: picks the same segment as the
-    // binary search of evaluate() for every finite input (and the edge
-    // segment, rather than undefined comparisons, for NaN).
-    std::size_t i = 0;
-    while (i + 2 < ns && s >= sa[i + 1]) ++i;
-    std::size_t j = 0;
-    while (j + 2 < nl && l >= la[j + 1]) ++j;
-    const double s0 = sa[i], s1 = sa[i + 1];
-    const double l0 = la[j], l1 = la[j + 1];
-    const double ts = (s - s0) / (s1 - s0);
-    const double tl = (l - l0) / (l1 - l0);
-    const double v00 = v[i * nl + j], v01 = v[i * nl + j + 1];
-    const double v10 = v[(i + 1) * nl + j], v11 = v[(i + 1) * nl + j + 1];
-    const double lo = v00 + (v01 - v00) * tl;
-    const double hi = v10 + (v11 - v10) * tl;
-    out[lane] = lo + (hi - lo) * ts;
-  }
+  return bilinear(values_.data(), load_axis_.size(), i, j, ts, tl);
 }
 
 std::size_t NldmTable::nearest_slew_index(double slew_ns) const {

@@ -29,25 +29,14 @@ class NldmTable {
   double& at(std::size_t slew_idx, std::size_t load_idx);
   double at(std::size_t slew_idx, std::size_t load_idx) const;
 
-  /// Bilinear interpolation (linear extrapolation beyond the axes).
+  /// Bilinear interpolation (linear extrapolation beyond the axes).  The
+  /// segment is found by binary search; a NaN query maps to the first
+  /// segment and returns NaN.  TimingArc::evaluate() is the fused form the
+  /// timers use; this per-table lookup is its reference.
   double evaluate(double slew_ns, double load_ff) const;
 
-  /// Batched lookup: evaluate `k` (slew, load) pairs against this one table,
-  /// writing the interpolated values to `out[0..k)`.  Per lane this performs
-  /// exactly the arithmetic of evaluate() -- same segment choice, same
-  /// lerp expressions -- so each out[i] is bitwise-equal to
-  /// evaluate(slew_ns[i], load_ff[i]).  The lane loop carries no
-  /// cross-iteration dependence and compiles to vector code under
-  /// -march=native; k == 1 degenerates to the scalar path.  Non-finite
-  /// inputs clamp to the edge segment instead of invoking the binary
-  /// search (whose comparisons are unordered for NaN) and propagate NaN
-  /// through the interpolation arithmetic.
-  void evaluate_batch(int k, const double* slew_ns, const double* load_ff,
-                      double* out) const;
-
-  /// Raw row-major value storage (slew index major); the batched timing
-  /// kernels read table values directly to fuse the four lookups of a
-  /// timing arc behind one axis search.
+  /// Raw row-major value storage (slew index major), for the fused arc
+  /// lookup of TimingArc.
   const double* values_data() const { return values_.data(); }
 
   /// Index of the axis point nearest to `slew_ns` (used for per-entry
@@ -63,6 +52,33 @@ class NldmTable {
   std::vector<double> load_axis_;
   std::vector<double> values_;  // row-major: slew index major
 };
+
+/// Segment i of a strictly increasing axis of n >= 2 points such that
+/// axis[i] <= x <= axis[i+1], clamped to the edge segments so out-of-range
+/// x extrapolates; NaN maps to segment 0.  A linear walk up from the first
+/// segment: on the short characterized axes it beats a binary search (and,
+/// in the batched timer's lane loop, a branch-free count of the interior
+/// points), and it picks the segment the binary search of
+/// NldmTable::evaluate() picks for every finite x.
+inline std::size_t axis_segment(const double* axis, std::size_t n, double x) {
+  std::size_t i = 0;
+  while (i + 2 < n && x >= axis[i + 1]) ++i;
+  return i;
+}
+
+/// Bilinear interpolation in the row-major grid `values` (`nl` load points
+/// per slew row) inside cell (i, i+1) x (j, j+1), at axis fractions
+/// (ts, tl) that may leave [0, 1] to extrapolate.  The one interpolation
+/// expression of the library: NldmTable::evaluate() and
+/// TimingArc::evaluate() both end here, so they agree bit for bit whenever
+/// they pick the same cell.
+inline double bilinear(const double* values, std::size_t nl, std::size_t i,
+                       std::size_t j, double ts, double tl) {
+  const double* v = values + i * nl + j;
+  const double v0 = v[0] + (v[1] - v[0]) * tl;
+  const double v1 = v[nl] + (v[nl + 1] - v[nl]) * tl;
+  return v0 + (v1 - v0) * ts;
+}
 
 /// Default 7-point characterization axes used across the library.
 std::vector<double> default_slew_axis_ns();

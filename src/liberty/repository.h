@@ -52,9 +52,11 @@ int dose_to_variant_index(double dose_pct);
 /// variant assignments -- and therefore their timing -- bitwise comparable.
 inline int shifted_poly_index(int base_index, double delta_l_nm) {
   // Round half away from zero without the libm lround call; the index
-  // fill runs once per (cell, die) in the Monte-Carlo loop.
-  const int shift = static_cast<int>(
-      delta_l_nm >= 0.0 ? delta_l_nm + 0.5 : delta_l_nm - 0.5);
+  // fill runs once per (cell, die) in the Monte-Carlo loop.  Selecting the
+  // +-0.5 rather than the sum keeps the fill branch-free (x - 0.5 and
+  // x + -0.5 round identically).
+  const int shift =
+      static_cast<int>(delta_l_nm + (delta_l_nm >= 0.0 ? 0.5 : -0.5));
   return std::clamp(base_index - shift, 0, kVariantsPerLayer - 1);
 }
 

@@ -540,6 +540,8 @@ SstaResult SstaTimer::analyze(const sta::VariantAssignment& base,
     // Own-dL secants of delay and output slew at the base (slew, load)
     // point.  ct.input_slew_ns is the clock slew for sequential cells and
     // the worst fanin slew for combinational ones, matching compute_cell.
+    const double in_slew = ct.input_slew_ns;
+    const double load = ct.load_ff;
     double a_delay = 0.0;
     double a_slew = 0.0;
     double bow_delay = 0.0;  // second-order mean correction, see below
@@ -547,45 +549,32 @@ SstaResult SstaTimer::analyze(const sta::VariantAssignment& base,
     {
       const Neighbors& nc = nb[c];
       if (nc.span > 0) {
-        const liberty::CharacterizedCell& cp = *nc.plus;
-        const liberty::CharacterizedCell& cm = *nc.minus;
+        const liberty::ArcTiming p = nc.plus->arc.evaluate(in_slew, load);
+        const liberty::ArcTiming m = nc.minus->arc.evaluate(in_slew, load);
         const double span = static_cast<double>(nc.span);  // nm
-        a_delay = (cp.arc.delay_ns(ct.input_slew_ns, ct.load_ff) -
-                   cm.arc.delay_ns(ct.input_slew_ns, ct.load_ff)) /
-                  span;
-        a_slew = (cp.arc.out_slew_ns(ct.input_slew_ns, ct.load_ff) -
-                  cm.arc.out_slew_ns(ct.input_slew_ns, ct.load_ff)) /
-                 span;
+        a_delay = (p.delay_ns - m.delay_ns) / span;
+        a_slew = (p.slew_ns - m.slew_ns) / span;
         if (nc.span == 2) {
           // Interior grid point: the same stencil also gives the local
           // curvature d^2D/dL^2 (1 nm step), whose Ito-style mean shift
           // 0.5 * D'' * Var(dL) is what the expectation of a curved NLDM
           // surface picks up that a pure secant misses.  At the grid
           // boundary the one-sided stencil has no curvature; leave 0.
+          const liberty::ArcTiming o = lc.arc.evaluate(in_slew, load);
           const double half_var = 0.5 * dl.variance();
-          bow_delay = half_var *
-                      (cp.arc.delay_ns(ct.input_slew_ns, ct.load_ff) -
-                       2.0 * lc.arc.delay_ns(ct.input_slew_ns, ct.load_ff) +
-                       cm.arc.delay_ns(ct.input_slew_ns, ct.load_ff));
-          bow_slew = half_var *
-                     (cp.arc.out_slew_ns(ct.input_slew_ns, ct.load_ff) -
-                      2.0 * lc.arc.out_slew_ns(ct.input_slew_ns, ct.load_ff) +
-                      cm.arc.out_slew_ns(ct.input_slew_ns, ct.load_ff));
+          bow_delay = half_var * (p.delay_ns - 2.0 * o.delay_ns + m.delay_ns);
+          bow_slew = half_var * (p.slew_ns - 2.0 * o.slew_ns + m.slew_ns);
         }
       }
     }
 
     // Load coupling: central differences of the NLDM surfaces in the load
     // axis, scaled by the output net's load deviation form.
-    const double hl = std::max(0.05, 0.05 * ct.load_ff);
-    const double dd_dload =
-        (lc.arc.delay_ns(ct.input_slew_ns, ct.load_ff + hl) -
-         lc.arc.delay_ns(ct.input_slew_ns, ct.load_ff - hl)) /
-        (2.0 * hl);
-    const double ds_dload =
-        (lc.arc.out_slew_ns(ct.input_slew_ns, ct.load_ff + hl) -
-         lc.arc.out_slew_ns(ct.input_slew_ns, ct.load_ff - hl)) /
-        (2.0 * hl);
+    const double hl = std::max(0.05, 0.05 * load);
+    const liberty::ArcTiming lhi = lc.arc.evaluate(in_slew, load + hl);
+    const liberty::ArcTiming llo = lc.arc.evaluate(in_slew, load - hl);
+    const double dd_dload = (lhi.delay_ns - llo.delay_ns) / (2.0 * hl);
+    const double ds_dload = (lhi.slew_ns - llo.slew_ns) / (2.0 * hl);
 
     // Gate-delay form: mean is the exact NLDM delay at the base point;
     // deviation is first-order in this cell's own dL and the load-coupled
@@ -647,15 +636,12 @@ SstaResult SstaTimer::analyze(const sta::VariantAssignment& base,
           form_scale(dl, cell_dcap[c] * 2.2 *
                              tm.parasitics_->net(wn).wire_res_kohm *
                              units::kPsToNs));
-      const double h = std::max(1e-4, 0.05 * ct.input_slew_ns);
-      const double kd = (lc.arc.delay_ns(ct.input_slew_ns + h, ct.load_ff) -
-                         lc.arc.delay_ns(ct.input_slew_ns - h, ct.load_ff)) /
-                        (2.0 * h);
+      const double h = std::max(1e-4, 0.05 * in_slew);
+      const liberty::ArcTiming shi = lc.arc.evaluate(in_slew + h, load);
+      const liberty::ArcTiming slo = lc.arc.evaluate(in_slew - h, load);
+      const double kd = (shi.delay_ns - slo.delay_ns) / (2.0 * h);
       gate = form_add(gate, form_scale(sin_dev, kd));
-      const double ks =
-          (lc.arc.out_slew_ns(ct.input_slew_ns + h, ct.load_ff) -
-           lc.arc.out_slew_ns(ct.input_slew_ns - h, ct.load_ff)) /
-          (2.0 * h);
+      const double ks = (shi.slew_ns - slo.slew_ns) / (2.0 * h);
       out_slew_dev = form_add(out_slew_dev, form_scale(sin_dev, ks));
     }
     if (options_.slew_coupling) {

@@ -11,13 +11,9 @@
 // then also sets -ffp-contract=off so FMA contraction cannot break the
 // scalar/batched equality).
 //
-// Arc evaluation.  The characterizer builds every TimingArc's four NLDM
-// tables (delay/slew x rise/fall) over the same axes, so the hot kernel
-// performs ONE (slew, load) segment search per lane and reuses it for all
-// four bilinear interpolations -- the scalar path pays eight binary
-// searches plus bound-checked at() calls per cell.  Arcs that do not share
-// axes (never produced by our characterizer, but allowed by the API) fall
-// back to the scalar evaluators per lane.
+// Arc evaluation.  Each lane calls liberty::TimingArc::evaluate(), the
+// same arc kernel as the scalar Timer, so per-lane gate delays and output
+// slews equal the scalar ones by construction.
 //
 // Lane health.  The `sta.batch_nan` fault point poisons one lane's initial
 // arrival/slew panels with NaN.  Because max/min reductions drop NaN
@@ -49,85 +45,16 @@ constexpr int K = kBatchLanes;
 
 faultinject::FaultPoint g_fault_batch_nan("sta.batch_nan");
 
-/// Flattened view of one characterized cell: raw table pointers so the hot
-/// loop never touches std::vector or bound-checked accessors.
-struct CellRef {
-  const liberty::CharacterizedCell* cell = nullptr;
-  const double* slew_axis = nullptr;  ///< shared axes (fused == true)
-  const double* load_axis = nullptr;
-  const double* dr = nullptr;  ///< delay_rise values, row-major slew-major
-  const double* df = nullptr;
-  const double* sr = nullptr;
-  const double* sf = nullptr;
-  std::int32_t n_slew = 0;
-  std::int32_t n_load = 0;
-  double input_cap_ff = 0.0;
-  bool fused = false;  ///< all four tables share axes -> one search serves 4
-};
-
-CellRef make_ref(const liberty::CharacterizedCell& cc) {
-  CellRef r;
-  r.cell = &cc;
-  r.input_cap_ff = cc.input_cap_ff;
-  r.fused = cc.arc.shared_axes();
-  if (r.fused) {
-    const liberty::NldmTable& t = cc.arc.delay_rise;
-    r.slew_axis = t.slew_axis().data();
-    r.load_axis = t.load_axis().data();
-    r.n_slew = static_cast<std::int32_t>(t.slew_points());
-    r.n_load = static_cast<std::int32_t>(t.load_points());
-    r.dr = cc.arc.delay_rise.values_data();
-    r.df = cc.arc.delay_fall.values_data();
-    r.sr = cc.arc.slew_rise.values_data();
-    r.sf = cc.arc.slew_fall.values_data();
-  }
-  return r;
-}
-
-/// One bilinear interpolation off a precomputed segment -- the exact
-/// expression of NldmTable::evaluate().
-inline double bilerp(const double* v, std::size_t i, std::size_t j,
-                     std::size_t nl, double ts, double tl) {
-  const double v00 = v[i * nl + j], v01 = v[i * nl + j + 1];
-  const double v10 = v[(i + 1) * nl + j], v11 = v[(i + 1) * nl + j + 1];
-  const double lo = v00 + (v01 - v00) * tl;
-  const double hi = v10 + (v11 - v10) * tl;
-  return lo + (hi - lo) * ts;
-}
-
-/// Evaluate one cell's timing arc for K lanes: gate delay (max of rise/fall
-/// delay) and output slew (max of rise/fall slew), each lane against its own
-/// library variant.  refs/slew/load/gd/os are K-panels.
-inline void eval_arc_lanes(const CellRef* const* refs, const double* slew,
-                           const double* load, double* gd, double* os) {
+/// Evaluate one cell's timing arc for K lanes: gate delay and output slew,
+/// each lane against its own library variant.  cells/slew/load/gd/os are
+/// K-panels.
+inline void eval_arc_lanes(const liberty::CharacterizedCell* const* cells,
+                           const double* slew, const double* load, double* gd,
+                           double* os) {
   for (int l = 0; l < K; ++l) {
-    const CellRef& r = *refs[l];
-    const double s = slew[l];
-    const double ld = load[l];
-    if (r.fused) {
-      // Same edge-clamped segment walk as NldmTable::evaluate_batch --
-      // identical segment choice to the scalar binary search.
-      std::size_t i = 0;
-      while (i + 2 < static_cast<std::size_t>(r.n_slew) &&
-             s >= r.slew_axis[i + 1])
-        ++i;
-      std::size_t j = 0;
-      while (j + 2 < static_cast<std::size_t>(r.n_load) &&
-             ld >= r.load_axis[j + 1])
-        ++j;
-      const double s0 = r.slew_axis[i], s1 = r.slew_axis[i + 1];
-      const double l0 = r.load_axis[j], l1 = r.load_axis[j + 1];
-      const double ts = (s - s0) / (s1 - s0);
-      const double tl = (ld - l0) / (l1 - l0);
-      const std::size_t nl = static_cast<std::size_t>(r.n_load);
-      gd[l] = std::max(bilerp(r.dr, i, j, nl, ts, tl),
-                       bilerp(r.df, i, j, nl, ts, tl));
-      os[l] = std::max(bilerp(r.sr, i, j, nl, ts, tl),
-                       bilerp(r.sf, i, j, nl, ts, tl));
-    } else {
-      gd[l] = r.cell->arc.delay_ns(s, ld);
-      os[l] = r.cell->arc.out_slew_ns(s, ld);
-    }
+    const liberty::ArcTiming a = cells[l]->arc.evaluate(slew[l], load[l]);
+    gd[l] = a.delay_ns;
+    os[l] = a.slew_ns;
   }
 }
 
@@ -140,22 +67,19 @@ inline void eval_arc_lanes(const CellRef* const* refs, const double* slew,
 struct BatchWorkspace::Impl {
   const Timer* owner = nullptr;
 
-  // Per-(poly, active) variant key: resolved library, flattened cell refs
-  // and input caps, built lazily on first use of a key and kept for the
-  // workspace's lifetime.  Both tables are single flat allocations indexed
-  // [key * masters + master] so the per-(cell, lane) resolve loop is two
-  // indexed loads off cached base pointers.
-  std::vector<const liberty::Library*> lib_by_key;
+  // Per-(poly, active) variant key: the library cell of each master,
+  // resolved lazily on first use of a key and kept for the workspace's
+  // lifetime.  One flat table indexed [key * masters + master] so the
+  // per-(cell, lane) resolve loop is one indexed load off a cached base.
   std::vector<std::uint8_t> key_built;
-  std::vector<CellRef> refs_flat;   ///< keys x masters
-  std::vector<double> caps_flat;    ///< keys x masters
+  std::vector<const liberty::CharacterizedCell*> cells_flat;
   std::size_t masters = 0;
 
   // Lane-major poly-index panel (cells x K) -- the assignment under test.
   std::vector<std::uint8_t> poly_idx;
 
   // Resolved per-cell per-lane state.
-  std::vector<const CellRef*> lane_ref;  ///< cells x K
+  std::vector<const liberty::CharacterizedCell*> lane_cell;  ///< cells x K
   std::vector<double> cap;               ///< cells x K, input pin cap
 
   // Structure-of-arrays lane panels (see file comment).  Wire delay/slew
@@ -248,23 +172,21 @@ BatchTimingResult BatchedTimer::analyze_batch_indices(
     constexpr std::size_t kKeys =
         static_cast<std::size_t>(liberty::kVariantsPerLayer) *
         liberty::kVariantsPerLayer;
-    w.lib_by_key.assign(kKeys, nullptr);
     w.key_built.assign(kKeys, 0);
-    w.refs_flat.clear();
-    w.caps_flat.clear();
+    w.cells_flat.clear();
     w.masters = 0;
   }
 
   // --- resolve each (cell, lane) to its flattened library cell ---
   // Ragged batches replicate the last real lane into the padding lanes so
   // every panel loop runs full width over defined values.
-  w.lane_ref.resize(cell_count * K);
+  w.lane_cell.resize(cell_count * K);
   w.cap.resize(cell_count * K);
   for (std::size_t c = 0; c < cell_count; ++c) {
     const int iw = base.get(static_cast<CellId>(c)).second;
     const std::size_t master = nl.cell(static_cast<CellId>(c)).master_index;
     const std::uint8_t* ip = &poly_index[c * K];
-    const CellRef** lr = &w.lane_ref[c * K];
+    const liberty::CharacterizedCell** lc = &w.lane_cell[c * K];
     double* cp = &w.cap[c * K];
     for (int l = 0; l < K; ++l) {
       const int il = ip[l < lanes ? l : lanes - 1];
@@ -272,26 +194,20 @@ BatchTimingResult BatchedTimer::analyze_batch_indices(
           static_cast<std::size_t>(il) * liberty::kVariantsPerLayer +
           static_cast<std::size_t>(iw);
       if (!w.key_built[key]) {
-        const liberty::Library*& lib = w.lib_by_key[key];
-        if (lib == nullptr) lib = &t.repo_->variant(il, iw);
+        const liberty::Library& lib = t.repo_->variant(il, iw);
         if (w.masters == 0) {
-          w.masters = lib->cell_count();
+          w.masters = lib.cell_count();
           constexpr std::size_t kKeys =
               static_cast<std::size_t>(liberty::kVariantsPerLayer) *
               liberty::kVariantsPerLayer;
-          w.refs_flat.assign(kKeys * w.masters, CellRef{});
-          w.caps_flat.assign(kKeys * w.masters, 0.0);
+          w.cells_flat.assign(kKeys * w.masters, nullptr);
         }
-        for (std::size_t m = 0; m < w.masters; ++m) {
-          w.refs_flat[key * w.masters + m] = make_ref(lib->cell(m));
-          w.caps_flat[key * w.masters + m] =
-              w.refs_flat[key * w.masters + m].input_cap_ff;
-        }
+        for (std::size_t m = 0; m < w.masters; ++m)
+          w.cells_flat[key * w.masters + m] = &lib.cell(m);
         w.key_built[key] = 1;
       }
-      const std::size_t off = key * w.masters + master;
-      lr[l] = &w.refs_flat[off];
-      cp[l] = w.caps_flat[off];
+      lc[l] = w.cells_flat[key * w.masters + master];
+      cp[l] = lc[l]->input_cap_ff;
     }
   }
 
@@ -354,7 +270,7 @@ BatchTimingResult BatchedTimer::analyze_batch_indices(
 
     if (cell.sequential) {
       la::lane_fill(K, kClockSlewNs, isl);
-      eval_arc_lanes(&w.lane_ref[cK], isl, lp, gd, os);
+      eval_arc_lanes(&w.lane_cell[cK], isl, lp, gd, os);
       std::memcpy(&w.net_arrival[static_cast<std::size_t>(out) * K], gd,
                   sizeof(double) * K);
       if (want_slacks)
@@ -392,7 +308,7 @@ BatchTimingResult BatchedTimer::analyze_batch_indices(
       }
     }
     if (t.fanin_ptr_[c] == t.fanin_ptr_[c + 1]) la::lane_fill(K, 0.0, ba);
-    eval_arc_lanes(&w.lane_ref[cK], isl, lp, gd, os);
+    eval_arc_lanes(&w.lane_cell[cK], isl, lp, gd, os);
     la::lane_add(K, wa, gd, &w.net_arrival[static_cast<std::size_t>(out) * K]);
     if (want_slacks)
       la::lane_add(K, ba, gd,

@@ -147,13 +147,13 @@ void Timer::compute_cell(TimingState& state, CellId c, CellTiming& ct) const {
 
   if (cell.sequential) {
     // Launch point: clk->Q delay from the clock edge.
+    const liberty::ArcTiming a =
+        lib_cell.arc.evaluate(kClockSlewNs, ct.load_ff);
     ct.input_slew_ns = kClockSlewNs;
-    ct.gate_delay_ns =
-        lib_cell.arc.delay_ns(kClockSlewNs, ct.load_ff);
-    ct.arrival_ns = ct.gate_delay_ns;
-    ct.min_arrival_ns = ct.gate_delay_ns;
-    ct.output_slew_ns =
-        lib_cell.arc.out_slew_ns(kClockSlewNs, ct.load_ff);
+    ct.gate_delay_ns = a.delay_ns;
+    ct.arrival_ns = a.delay_ns;
+    ct.min_arrival_ns = a.delay_ns;
+    ct.output_slew_ns = a.slew_ns;
     return;
   }
 
@@ -171,11 +171,12 @@ void Timer::compute_cell(TimingState& state, CellId c, CellTiming& ct) const {
     worst_slew = std::max(worst_slew, slew);
   }
   if (fanin_ptr_[c] == fanin_ptr_[c + 1]) best_arrival = 0.0;
+  const liberty::ArcTiming a = lib_cell.arc.evaluate(worst_slew, ct.load_ff);
   ct.input_slew_ns = worst_slew;
-  ct.gate_delay_ns = lib_cell.arc.delay_ns(worst_slew, ct.load_ff);
-  ct.arrival_ns = worst_arrival + ct.gate_delay_ns;
-  ct.min_arrival_ns = best_arrival + ct.gate_delay_ns;
-  ct.output_slew_ns = lib_cell.arc.out_slew_ns(worst_slew, ct.load_ff);
+  ct.gate_delay_ns = a.delay_ns;
+  ct.arrival_ns = worst_arrival + a.delay_ns;
+  ct.min_arrival_ns = best_arrival + a.delay_ns;
+  ct.output_slew_ns = a.slew_ns;
 }
 
 double Timer::compute_req_rel(const TimingState& state, NetId n) const {

@@ -44,6 +44,18 @@ TEST(Nldm, LinearExtrapolationOutsideAxes) {
   EXPECT_DOUBLE_EQ(t.evaluate(0.0, -1.0), -1.0);
 }
 
+TEST(Nldm, NaNQueryReturnsNaN) {
+  // NaN fails every axis comparison; the lookup must still pick a real
+  // segment (the first) rather than index one past the axis.
+  NldmTable t({0.0, 1.0, 4.0}, {0.0, 10.0});
+  t.at(2, 1) = 5.0;
+  const double nan = std::nan("");
+  EXPECT_TRUE(std::isnan(t.evaluate(nan, 1.0)));
+  EXPECT_TRUE(std::isnan(t.evaluate(0.5, nan)));
+  EXPECT_LT(t.nearest_slew_index(nan), t.slew_points());
+  EXPECT_LT(t.nearest_load_index(nan), t.load_points());
+}
+
 TEST(Nldm, NearestIndex) {
   NldmTable t({0.0, 1.0, 4.0}, {0.0, 10.0});
   EXPECT_EQ(t.nearest_slew_index(0.4), 0u);
@@ -99,6 +111,14 @@ class Characterized : public ::testing::Test {
 };
 LibraryRepository* Characterized::repo_ = nullptr;
 
+double delay(const CharacterizedCell& c, double slew_ns, double load_ff) {
+  return c.arc.evaluate(slew_ns, load_ff).delay_ns;
+}
+
+double out_slew(const CharacterizedCell& c, double slew_ns, double load_ff) {
+  return c.arc.evaluate(slew_ns, load_ff).slew_ns;
+}
+
 TEST_F(Characterized, NominalLibraryComplete) {
   const Library& lib = repo_->nominal();
   EXPECT_EQ(lib.cell_count(), 45u);
@@ -111,7 +131,7 @@ TEST_F(Characterized, DelayMonotoneInLoad) {
   const auto& c = repo_->nominal().cell_by_name("NAND2X1");
   double prev = 0.0;
   for (double load = 0.5; load < 20.0; load *= 2.0) {
-    const double d = c.arc.delay_ns(0.05, load);
+    const double d = delay(c, 0.05, load);
     EXPECT_GT(d, prev);
     prev = d;
   }
@@ -119,13 +139,13 @@ TEST_F(Characterized, DelayMonotoneInLoad) {
 
 TEST_F(Characterized, DelayMonotoneInSlew) {
   const auto& c = repo_->nominal().cell_by_name("NOR2X1");
-  EXPECT_LT(c.arc.delay_ns(0.01, 3.0), c.arc.delay_ns(0.3, 3.0));
+  EXPECT_LT(delay(c, 0.01, 3.0), delay(c, 0.3, 3.0));
 }
 
 TEST_F(Characterized, HigherDriveIsFasterUnderLoad) {
   const auto& x1 = repo_->nominal().cell_by_name("INVX1");
   const auto& x4 = repo_->nominal().cell_by_name("INVX4");
-  EXPECT_GT(x1.arc.delay_ns(0.05, 10.0), x4.arc.delay_ns(0.05, 10.0));
+  EXPECT_GT(delay(x1, 0.05, 10.0), delay(x4, 0.05, 10.0));
 }
 
 TEST_F(Characterized, PolyDoseSpeedsUpAndLeaksMore) {
@@ -133,8 +153,8 @@ TEST_F(Characterized, PolyDoseSpeedsUpAndLeaksMore) {
   const auto& nominal = repo_->nominal().cell_by_name("INVX1");
   const auto& plus5 = repo_->variant(20, 10).cell_by_name("INVX1");
   const auto& minus5 = repo_->variant(0, 10).cell_by_name("INVX1");
-  EXPECT_LT(plus5.arc.delay_ns(0.05, 3.0), nominal.arc.delay_ns(0.05, 3.0));
-  EXPECT_GT(minus5.arc.delay_ns(0.05, 3.0), nominal.arc.delay_ns(0.05, 3.0));
+  EXPECT_LT(delay(plus5, 0.05, 3.0), delay(nominal, 0.05, 3.0));
+  EXPECT_GT(delay(minus5, 0.05, 3.0), delay(nominal, 0.05, 3.0));
   EXPECT_GT(plus5.leakage_nw, nominal.leakage_nw);
   EXPECT_LT(minus5.leakage_nw, nominal.leakage_nw);
 }
@@ -143,7 +163,7 @@ TEST_F(Characterized, ActiveDoseNarrowsAndSlowsDevice) {
   // Higher active dose -> narrower gate -> slower and less leaky.
   const auto& nominal = repo_->nominal().cell_by_name("INVX1");
   const auto& plus5 = repo_->variant(10, 20).cell_by_name("INVX1");
-  EXPECT_GT(plus5.arc.delay_ns(0.05, 3.0), nominal.arc.delay_ns(0.05, 3.0));
+  EXPECT_GT(delay(plus5, 0.05, 3.0), delay(nominal, 0.05, 3.0));
   EXPECT_LT(plus5.leakage_nw, nominal.leakage_nw);
 }
 
@@ -228,8 +248,8 @@ TEST(LibertyIo, RoundTripPreservesTables) {
     const auto& b = parsed.cell_by_name(a.name);
     EXPECT_NEAR(a.input_cap_ff, b.input_cap_ff, 1e-5);
     EXPECT_NEAR(a.leakage_nw, b.leakage_nw, 1e-5);
-    EXPECT_NEAR(a.arc.delay_ns(0.05, 3.0), b.arc.delay_ns(0.05, 3.0), 1e-5);
-    EXPECT_NEAR(a.arc.out_slew_ns(0.05, 3.0), b.arc.out_slew_ns(0.05, 3.0),
+    EXPECT_NEAR(delay(a, 0.05, 3.0), delay(b, 0.05, 3.0), 1e-5);
+    EXPECT_NEAR(out_slew(a, 0.05, 3.0), out_slew(b, 0.05, 3.0),
                 1e-5);
   }
 }

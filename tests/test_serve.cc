@@ -323,6 +323,19 @@ TEST(ServerE2E, TcpListenerServesJobs) {
   server.stop();
 }
 
+/// Poll the server's metrics until the top-level `field` reads `value`;
+/// false if it has not after a minute.
+bool wait_for_metric(const serve::Server& server, const char* field,
+                     double value) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.metrics().get_number(field, -1.0) != value) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 TEST(ServerE2E, FullQueueRejectsWithRetryAfter) {
   serve::ServerOptions options;
   options.uds_path = uds_path("backpressure");
@@ -333,24 +346,20 @@ TEST(ServerE2E, FullQueueRejectsWithRetryAfter) {
   server.start();
 
   // Three raw connections: A occupies the lane, B fills the queue, C must
-  // be rejected immediately with the configured retry hint.
+  // be rejected immediately with the configured retry hint.  Each step
+  // waits on the server's own counters instead of a sleep, so A only has
+  // to stay busy across two metric polls; its cold session build (unique
+  // seed) is ample.
   const int a = serve::connect_unix(options.uds_path);
   const int b = serve::connect_unix(options.uds_path);
   const int c = serve::connect_unix(options.uds_path);
-  // A fresh session (unique seed) at a scale/grid that takes seconds even
-  // on the incremental solve path keeps the lane busy well past both
-  // sleeps.  B and C stay cheap: B only has to sit in the queue while C is
-  // rejected, so the test doesn't pay for a second slow solve.
-  JobSpec slow = mixed_jobs()[0];
-  slow.seed = 20260807;
-  slow.scale = 0.25;
-  slow.grid_um = 5.0;
+  JobSpec busy = mixed_jobs()[0];
+  busy.seed = 20260807;
   JobSpec cheap = mixed_jobs()[0];
-  serve::write_frame(a, MsgType::kJobRequest, slow.to_json().dump());
-  // Give the lane time to dequeue A before filling the queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  serve::write_frame(a, MsgType::kJobRequest, busy.to_json().dump());
+  ASSERT_TRUE(wait_for_metric(server, "in_flight", 1.0));
   serve::write_frame(b, MsgType::kJobRequest, cheap.to_json().dump());
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(wait_for_metric(server, "queue_depth", 1.0));
   serve::write_frame(c, MsgType::kJobRequest, cheap.to_json().dump());
 
   serve::Frame frame;
@@ -382,17 +391,15 @@ TEST(ServerE2E, ExpiredDeadlineSkipsJob) {
 
   const int a = serve::connect_unix(options.uds_path);
   const int b = serve::connect_unix(options.uds_path);
-  // Slow enough (fresh session, finer grid, larger scale) that `hurried`
-  // reliably expires while queued behind it.
-  JobSpec slow = mixed_jobs()[0];
-  slow.seed = 20260807;
-  slow.scale = 0.25;
-  slow.grid_um = 5.0;
+  // Once A holds the lane, its cold session build (unique seed) outlasts
+  // `hurried`'s 1 ms deadline many times over.
+  JobSpec busy = mixed_jobs()[0];
+  busy.seed = 20260807;
   JobSpec hurried = mixed_jobs()[0];
   hurried.id = "hurried";
-  hurried.deadline_ms = 1.0;  // expires while queued behind `slow`
-  serve::write_frame(a, MsgType::kJobRequest, slow.to_json().dump());
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  hurried.deadline_ms = 1.0;  // expires while queued behind `busy`
+  serve::write_frame(a, MsgType::kJobRequest, busy.to_json().dump());
+  ASSERT_TRUE(wait_for_metric(server, "in_flight", 1.0));
   serve::write_frame(b, MsgType::kJobRequest, hurried.to_json().dump());
 
   serve::Frame frame;

@@ -4,16 +4,21 @@
 // analyze_batch() pass must equal an independent scalar Timer::analyze() of
 // that lane's assignment down to the last bit, for every per-cell quantity
 // and every design-level number.  EXPECT_EQ on doubles checks exact
-// equality (all values here are finite).
+// equality (all values compared here are finite; the arc-kernel tests check
+// their NaN query with isnan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "flow/context.h"
 #include "la/dense.h"
+#include "liberty/library.h"
 #include "liberty/nldm.h"
 #include "liberty/repository.h"
 #include "sta/timer.h"
@@ -199,29 +204,80 @@ TEST_F(BatchTest, YieldThreadCountBitStable) {
 
 // --- kernel-level pieces ---------------------------------------------------
 
-TEST(NldmBatch, EvaluateBatchMatchesScalar) {
-  liberty::NldmTable t(liberty::default_slew_axis_ns(),
-                       liberty::default_load_axis_ff());
-  Rng rng(5);
-  for (std::size_t i = 0; i < t.slew_points(); ++i)
-    for (std::size_t j = 0; j < t.load_points(); ++j)
-      t.at(i, j) = 0.01 + 0.3 * rng.uniform();
-  // Queries spanning in-grid, between-point, and out-of-range (both sides)
-  // values: the batched segment walk must pick the scalar's segment.
-  std::vector<double> slew, load;
-  for (int q = 0; q < 64; ++q) {
-    slew.push_back(0.001 + 0.7 * rng.uniform());
-    load.push_back(0.1 + 30.0 * rng.uniform());
+/// max-of-rise/fall over the four per-table NldmTable::evaluate() lookups:
+/// the reference the arc kernel must equal bit for bit.
+liberty::ArcTiming per_table_reference(const liberty::TimingArc& arc,
+                                       double slew_ns, double load_ff) {
+  return {std::max(arc.delay_rise.evaluate(slew_ns, load_ff),
+                   arc.delay_fall.evaluate(slew_ns, load_ff)),
+          std::max(arc.slew_rise.evaluate(slew_ns, load_ff),
+                   arc.slew_fall.evaluate(slew_ns, load_ff))};
+}
+
+/// Random in-range points, every exact axis point, and out-of-range points
+/// on both sides of both axes.
+std::vector<std::pair<double, double>> kernel_queries(
+    const liberty::TimingArc& arc, Rng& rng) {
+  std::vector<std::pair<double, double>> q;
+  for (int k = 0; k < 64; ++k)
+    q.emplace_back(0.001 + 0.7 * rng.uniform(), 0.1 + 30.0 * rng.uniform());
+  for (const liberty::NldmTable* t :
+       {&arc.delay_rise, &arc.delay_fall, &arc.slew_rise, &arc.slew_fall})
+    for (double s : t->slew_axis())
+      for (double l : t->load_axis()) q.emplace_back(s, l);
+  q.emplace_back(1e-6, 1e-6);      // below both axes
+  q.emplace_back(10.0, 1000.0);    // above both axes
+  q.emplace_back(-0.5, 1000.0);    // below one, above the other
+  q.emplace_back(10.0, -3.0);
+  return q;
+}
+
+void expect_kernel_matches_reference(const liberty::TimingArc& arc,
+                                     Rng& rng) {
+  for (const auto& [s, l] : kernel_queries(arc, rng)) {
+    const liberty::ArcTiming got = arc.evaluate(s, l);
+    const liberty::ArcTiming ref = per_table_reference(arc, s, l);
+    EXPECT_EQ(got.delay_ns, ref.delay_ns) << "slew " << s << " load " << l;
+    EXPECT_EQ(got.slew_ns, ref.slew_ns) << "slew " << s << " load " << l;
   }
-  slew[0] = 1e-6;   // below both axes
-  load[0] = 1e-6;
-  slew[1] = 10.0;   // above both axes
-  load[1] = 1000.0;
-  std::vector<double> out(slew.size());
-  t.evaluate_batch(static_cast<int>(slew.size()), slew.data(), load.data(),
-                   out.data());
-  for (std::size_t q = 0; q < slew.size(); ++q)
-    EXPECT_EQ(out[q], t.evaluate(slew[q], load[q])) << "query " << q;
+  // A NaN query gives NaN out, without throwing or reading past an axis.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [s, l] : {std::pair{nan, 3.0}, std::pair{0.05, nan}}) {
+    liberty::ArcTiming got;
+    EXPECT_NO_THROW(got = arc.evaluate(s, l));
+    EXPECT_TRUE(std::isnan(got.delay_ns));
+    EXPECT_TRUE(std::isnan(got.slew_ns));
+  }
+}
+
+TEST_F(BatchTest, ArcKernelMatchesPerTableReference) {
+  // Characterized arcs share their axes, so this is the fused path.
+  Rng rng(5);
+  for (const liberty::Library* lib :
+       {&ctx_->repo().nominal(), &ctx_->repo().variant(0, 20)})
+    for (const liberty::CharacterizedCell& cell : lib->cells())
+      expect_kernel_matches_reference(cell.arc, rng);
+}
+
+TEST(ArcKernel, MixedAxesFallBackToPerTable) {
+  // Four tables over four different axis pairs, as a Liberty file may
+  // carry them: the kernel must take the per-table path.
+  Rng rng(7);
+  auto table = [&rng](std::vector<double> slew, std::vector<double> load) {
+    liberty::NldmTable t(std::move(slew), std::move(load));
+    for (std::size_t i = 0; i < t.slew_points(); ++i)
+      for (std::size_t j = 0; j < t.load_points(); ++j)
+        t.at(i, j) = 0.01 + 0.3 * rng.uniform();
+    return t;
+  };
+  liberty::TimingArc arc;
+  arc.delay_rise = table(liberty::default_slew_axis_ns(),
+                         liberty::default_load_axis_ff());
+  arc.delay_fall = table({0.01, 0.05, 0.2, 0.6}, {0.5, 2.0, 8.0, 20.0, 40.0});
+  arc.slew_rise = table({0.02, 0.3}, {1.0, 10.0});
+  arc.slew_fall = table(liberty::default_slew_axis_ns(), {0.3, 3.0, 30.0});
+  arc.finalize();
+  expect_kernel_matches_reference(arc, rng);
 }
 
 TEST(LaneKernels, MatchScalarSemantics) {
